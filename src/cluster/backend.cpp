@@ -18,6 +18,8 @@
 #define MSG_NOSIGNAL 0
 #endif
 
+#include "util/json.hpp"
+
 namespace tgroom::cluster {
 
 const char* BackendChannel::status_name(SendStatus s) {
@@ -93,20 +95,15 @@ bool write_all(int fd, const char* data, std::size_t size) {
 bool parse_response_id(std::string_view line, std::int64_t& id) {
   constexpr std::string_view kPrefix = "{\"id\":";
   if (line.substr(0, kPrefix.size()) != kPrefix) return false;
-  std::size_t i = kPrefix.size();
-  bool negative = false;
-  if (i < line.size() && line[i] == '-') {
-    negative = true;
-    ++i;
+  try {
+    JsonCursor c(line.substr(kPrefix.size()));
+    if (c.peek() != JsonValue::Type::kNumber) return false;
+    const JsonNumber number = c.number();
+    id = number.integer;
+    return number.exact;
+  } catch (const CheckError&) {
+    return false;
   }
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return false;
-  std::int64_t value = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    value = value * 10 + (line[i] - '0');
-    ++i;
-  }
-  id = negative ? -value : value;
-  return true;
 }
 
 }  // namespace

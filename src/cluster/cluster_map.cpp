@@ -1,8 +1,7 @@
 #include "cluster/cluster_map.hpp"
 
-#include <cctype>
-
 #include "grooming/demand.hpp"
+#include "util/json.hpp"
 
 namespace tgroom::cluster {
 
@@ -115,119 +114,60 @@ std::uint64_t pairs_route_key(const std::vector<DemandPair>& pairs) {
   return h;
 }
 
-namespace {
-
-/// Advances past one JSON value starting at `i`; returns one past its
-/// last byte, or npos on malformed input.  Only the structure needed to
-/// find member boundaries: strings honor escapes, containers balance.
-std::size_t skip_value(std::string_view s, std::size_t i) {
-  const std::size_t n = s.size();
-  while (i < n && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  if (i >= n) return std::string_view::npos;
-  const char c = s[i];
-  if (c == '"') {
-    ++i;
-    while (i < n) {
-      if (s[i] == '\\') {
-        i += 2;
-      } else if (s[i] == '"') {
-        return i + 1;
-      } else {
-        ++i;
-      }
-    }
-    return std::string_view::npos;
-  }
-  if (c == '{' || c == '[') {
-    int depth = 0;
-    while (i < n) {
-      const char d = s[i];
-      if (d == '"') {
-        i = skip_value(s, i);
-        if (i == std::string_view::npos) return i;
-        continue;
-      }
-      if (d == '{' || d == '[') ++depth;
-      if (d == '}' || d == ']') {
-        --depth;
-        if (depth == 0) return i + 1;
-      }
-      ++i;
-    }
-    return std::string_view::npos;
-  }
-  // Scalar: number / true / false / null — runs to the next delimiter.
-  while (i < n && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-         !std::isspace(static_cast<unsigned char>(s[i]))) {
-    ++i;
-  }
-  return i;
-}
-
-std::size_t skip_ws(std::string_view s, std::size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  return i;
-}
-
-}  // namespace
-
 std::string strip_top_level_id(std::string_view line) {
-  std::size_t i = skip_ws(line, 0);
-  if (i >= line.size() || line[i] != '{') return std::string(line);
-  std::size_t pos = i + 1;  // first byte after '{'
-  bool first = true;
-  while (true) {
-    std::size_t member_start = skip_ws(line, pos);
-    if (member_start >= line.size() || line[member_start] == '}') break;
-    if (!first) {
-      // member_start sits on the ',' separating members.
-      if (line[member_start] != ',') break;
-      member_start = skip_ws(line, member_start + 1);
+  // Malformed lines come back unchanged; the router only strips lines
+  // parse_request accepted.
+  try {
+    JsonCursor c(line);
+    if (c.peek() != JsonValue::Type::kObject || !c.enter_object()) {
+      return std::string(line);
     }
-    if (member_start >= line.size() || line[member_start] != '"') break;
-    const std::size_t key_end = skip_value(line, member_start);
-    if (key_end == std::string_view::npos) break;
-    const std::string_view key =
-        line.substr(member_start + 1, key_end - member_start - 2);
-    std::size_t colon = skip_ws(line, key_end);
-    if (colon >= line.size() || line[colon] != ':') break;
-    const std::size_t value_end = skip_value(line, colon + 1);
-    if (value_end == std::string_view::npos) break;
-    if (key == "id") {
-      // Remove the member plus one adjacent comma: the leading one when
-      // this is not the first member, the trailing one otherwise.
-      std::size_t cut_begin = first ? member_start : pos;
-      std::size_t cut_end = value_end;
-      if (first) {
-        const std::size_t after = skip_ws(line, value_end);
-        if (after < line.size() && line[after] == ',') cut_end = after + 1;
+    std::size_t prev_end = 0;  // one past the previous member's value
+    bool first = true;
+    do {
+      // The first member's key, or just past the ',' before a later one.
+      const std::size_t member_start = c.offset();
+      const bool is_id = c.key() == "id";
+      c.skip();
+      const std::size_t value_end = c.offset();
+      if (is_id) {
+        // Remove the member plus one adjacent comma: the leading one when
+        // this is not the first member, the trailing one otherwise.
+        const std::size_t cut_begin = first ? member_start : prev_end;
+        std::size_t cut_end = value_end;
+        if (first && c.next_member()) cut_end = c.offset();
+        std::string out;
+        out.reserve(line.size());
+        out.append(line.substr(0, cut_begin));
+        out.append(line.substr(cut_end));
+        return out;
       }
-      std::string out;
-      out.reserve(line.size());
-      out.append(line.substr(0, cut_begin));
-      out.append(line.substr(cut_end));
-      return out;
-    }
-    pos = value_end;
-    first = false;
+      prev_end = value_end;
+      first = false;
+    } while (c.next_member());
+  } catch (const CheckError&) {
   }
   return std::string(line);
 }
 
 std::string compose_with_id(std::string_view stripped,
                             std::int64_t internal_id) {
-  const std::size_t open = skip_ws(stripped, 0);
-  std::string out;
-  out.reserve(stripped.size() + 24);
-  if (open >= stripped.size() || stripped[open] != '{') {
-    // Not an object (cannot happen for a parsed request); pass through.
-    return std::string(stripped);
+  try {
+    JsonCursor c(stripped);
+    if (c.peek() == JsonValue::Type::kObject) {
+      const std::size_t open = c.offset();
+      const bool empty = !c.enter_object();
+      std::string out;
+      out.reserve(stripped.size() + 24);
+      out.append("{\"id\":").append(std::to_string(internal_id));
+      if (!empty) out.push_back(',');
+      out.append(stripped.substr(open + 1));
+      return out;
+    }
+  } catch (const CheckError&) {
   }
-  const std::size_t next = skip_ws(stripped, open + 1);
-  out.append("{\"id\":").append(std::to_string(internal_id));
-  if (next < stripped.size() && stripped[next] != '}') out.push_back(',');
-  out.append(stripped.substr(open + 1));
-  return out;
+  // Not an object (cannot happen for a parsed request); pass through.
+  return std::string(stripped);
 }
 
 bool restore_response_id(std::string_view response, bool client_has_id,

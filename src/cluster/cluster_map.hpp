@@ -104,9 +104,9 @@ std::uint64_t pairs_route_key(const std::vector<DemandPair>& pairs);
 
 /// Removes the top-level "id" member from one request line, leaving valid
 /// JSON (the adjacent comma goes with it).  Lines without a top-level id
-/// come back unchanged.  The scan is a real top-level walk — strings,
-/// escapes, and nested containers are skipped, so {"plan":{"id":1}} keeps
-/// its inner member.
+/// come back unchanged.  The walk is a JsonCursor's: keys are compared
+/// decoded, and values (strings, escapes, nested containers) are skipped
+/// whole, so {"plan":{"id":1}} keeps its inner member.
 std::string strip_top_level_id(std::string_view line);
 
 /// The forwarded line: `stripped` (a strip_top_level_id result) with

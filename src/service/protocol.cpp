@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -41,23 +43,6 @@ const char* service_error_name(ServiceError code) {
 }
 
 namespace {
-
-bool bool_field(const JsonValue& doc, const char* name, bool fallback) {
-  const JsonValue* v = doc.find(name);
-  if (!v) return fallback;
-  TGROOM_CHECK_MSG(v->is_bool(),
-                   std::string("\"") + name + "\" must be a boolean");
-  return v->boolean;
-}
-
-std::int64_t int_field(const JsonValue& doc, const char* name,
-                       std::int64_t fallback) {
-  const JsonValue* v = doc.find(name);
-  if (!v) return fallback;
-  TGROOM_CHECK_MSG(v->is_number(),
-                   std::string("\"") + name + "\" must be an integer");
-  return v->as_int();
-}
 
 void write_id(JsonWriter& w, std::int64_t id, bool has_id) {
   if (has_id) {
@@ -110,33 +95,6 @@ void write_graph_json(JsonWriter& w, const Graph& g) {
   w.end_object();
 }
 
-Graph graph_from_json(const JsonValue& v) {
-  TGROOM_CHECK_MSG(v.is_object(), "\"graph\" must be an object");
-  const JsonValue* n = v.find("n");
-  TGROOM_CHECK_MSG(n != nullptr, "graph.n is required");
-  std::int64_t nodes = n->as_int();
-  TGROOM_CHECK_MSG(nodes >= 0 && nodes <= 50'000'000, "graph.n out of range");
-  const JsonValue* edges = v.find("edges");
-  TGROOM_CHECK_MSG(edges != nullptr && edges->is_array(),
-                   "graph.edges (array) is required");
-  Graph g(static_cast<NodeId>(nodes));
-  g.reserve_edges(static_cast<EdgeId>(edges->array.size()));
-  for (const JsonValue& e : edges->array) {
-    TGROOM_CHECK_MSG(e.is_array() && e.array.size() == 2,
-                     "graph edge must be a [u,v] pair");
-    std::int64_t u = e.array[0].as_int();
-    std::int64_t w2 = e.array[1].as_int();
-    TGROOM_CHECK_MSG(u >= 0 && u < nodes && w2 >= 0 && w2 < nodes,
-                     "edge endpoint out of range");
-    TGROOM_CHECK_MSG(u != w2, "self-loop edges are not allowed");
-    TGROOM_CHECK_MSG(g.find_edge(static_cast<NodeId>(u),
-                                 static_cast<NodeId>(w2)) == kInvalidEdge,
-                     "duplicate edge in graph.edges");
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(w2));
-  }
-  return g;
-}
-
 void write_plan_json(JsonWriter& w, const GroomingPlan& plan) {
   w.begin_object();
   w.kv("ring_size", static_cast<long long>(plan.ring_size));
@@ -156,16 +114,18 @@ void write_plan_json(JsonWriter& w, const GroomingPlan& plan) {
 
 GroomingPlan plan_from_json(const JsonValue& v) {
   TGROOM_CHECK_MSG(v.is_object(), "\"plan\" must be an object");
-  GroomingPlan plan;
-  std::int64_t ring = int_field(v, "ring_size", -1);
-  TGROOM_CHECK_MSG(ring >= 0, "plan.ring_size is required");
-  std::int64_t k = int_field(v, "k", -1);
-  TGROOM_CHECK_MSG(k >= 1, "plan.k must be >= 1");
-  plan.ring_size = static_cast<NodeId>(ring);
-  plan.grooming_factor = static_cast<int>(k);
+  const JsonValue* ring_value = v.find("ring_size");
+  const JsonValue* k_value = v.find("k");
   const JsonValue* pairs = v.find("pairs");
+  const std::int64_t ring = ring_value ? ring_value->as_int() : -1;
+  TGROOM_CHECK_MSG(ring >= 0, "plan.ring_size is required");
+  const std::int64_t k = k_value ? k_value->as_int() : -1;
+  TGROOM_CHECK_MSG(k >= 1, "plan.k must be >= 1");
   TGROOM_CHECK_MSG(pairs != nullptr && pairs->is_array(),
                    "plan.pairs (array) is required");
+  GroomingPlan plan;
+  plan.ring_size = static_cast<NodeId>(ring);
+  plan.grooming_factor = static_cast<int>(k);
   plan.pairs.reserve(pairs->array.size());
   for (const JsonValue& p : pairs->array) {
     TGROOM_CHECK_MSG(p.is_array() && p.array.size() == 4,
@@ -233,584 +193,510 @@ void write_release_json(JsonWriter& w, const ReleaseStats& stats,
   }
 }
 
-std::vector<DemandPair> demand_pairs_from_json(const JsonValue& v) {
-  TGROOM_CHECK_MSG(v.is_array(), "\"add\" must be an array of [a,b] pairs");
+namespace {
+
+// ---- Request reader ----------------------------------------------------
+//
+// One JsonCursor pass over the line reads the first occurrence of every
+// known member into a typed slot; repeated and unknown members are
+// skipped, which still checks their syntax.  Only once the document has
+// closed cleanly do the semantic checks run, in a fixed order over the
+// slots, so a syntax error anywhere always wins over a semantic one.
+// Graph edges, plan pairs and demand pairs are read as integer tuples
+// into retained thread-local scratch: no tree, and a warm reader builds
+// the graph in one degree-reserved pass.
+
+// A member read as a scalar; a container keeps only its type.
+struct Field {
+  bool present = false;
+  JsonValue::Type type = JsonValue::Type::kNull;
+  bool boolean = false;
+  JsonNumber number;
+  std::string_view quoted;  // strings: the raw bytes, decoded by text_of()
+};
+
+// A member holding a list of fixed-arity integer tuples.  Tuples are kept
+// up to the first malformed one (wrong shape, or an element as_int()
+// refuses); its message waits in `error` for the semantic checks to
+// report in its turn.
+struct TupleList {
+  explicit TupleList(std::vector<std::int64_t>& scratch) : values(scratch) {}
+  bool present = false;
+  bool is_array = false;
+  std::vector<std::int64_t>& values;  // flattened tuples
+  const char* error = nullptr;
+};
+
+struct ReaderScratch {
+  std::vector<std::int64_t> edges, plan_pairs, add, remove;
+  std::vector<NodeId> degree;
+};
+thread_local ReaderScratch t_scratch;
+
+// An object member of scalar fields and one tuple list: a graph
+// {"n", "edges"} or a plan {"ring_size", "k", "pairs"}.
+struct NestedInput {
+  explicit NestedInput(std::vector<std::int64_t>& scratch) : list(scratch) {}
+  bool present = false;
+  JsonValue::Type type = JsonValue::Type::kNull;
+  Field fields[2];
+  TupleList list;
+};
+
+struct RequestInput {
+  Field op, id, deadline_ms, route_key, algorithm, k, seed, refine,
+      smart_branches, hold, include_partition, plan_id, include_plan, all,
+      repair, store_version, fingerprint_version, start_seq, last_crc,
+      from_seq, max_records, ack_seq, follower;
+  NestedInput graph{t_scratch.edges};
+  NestedInput plan{t_scratch.plan_pairs};
+  TupleList add{t_scratch.add};
+  TupleList remove{t_scratch.remove};
+};
+
+constexpr std::pair<std::string_view, Field RequestInput::*> kFields[] = {
+    {"op", &RequestInput::op},
+    {"id", &RequestInput::id},
+    {"deadline_ms", &RequestInput::deadline_ms},
+    {"route_key", &RequestInput::route_key},
+    {"algorithm", &RequestInput::algorithm},
+    {"k", &RequestInput::k},
+    {"seed", &RequestInput::seed},
+    {"refine", &RequestInput::refine},
+    {"smart_branches", &RequestInput::smart_branches},
+    {"hold", &RequestInput::hold},
+    {"include_partition", &RequestInput::include_partition},
+    {"plan_id", &RequestInput::plan_id},
+    {"include_plan", &RequestInput::include_plan},
+    {"all", &RequestInput::all},
+    {"repair", &RequestInput::repair},
+    {"store_version", &RequestInput::store_version},
+    {"fingerprint_version", &RequestInput::fingerprint_version},
+    {"start_seq", &RequestInput::start_seq},
+    {"last_crc", &RequestInput::last_crc},
+    {"from_seq", &RequestInput::from_seq},
+    {"max_records", &RequestInput::max_records},
+    {"ack_seq", &RequestInput::ack_seq},
+    {"follower", &RequestInput::follower},
+};
+
+// Walks an object's members; `read(key)` consumes the value of a key it
+// takes and returns false for the rest, which are skipped.
+template <typename Read>
+void read_object(JsonCursor& c, Read&& read) {
+  if (!c.enter_object()) return;
+  do {
+    if (!read(c.key())) c.skip();
+  } while (c.next_member());
+}
+
+void read_field(JsonCursor& c, std::string_view line, Field& f) {
+  f.present = true;
+  f.type = c.peek();
+  const std::size_t start = c.offset();
+  switch (f.type) {
+    case JsonValue::Type::kBool: f.boolean = c.boolean(); break;
+    case JsonValue::Type::kNumber: f.number = c.number(); break;
+    case JsonValue::Type::kString:
+      c.string();
+      f.quoted = line.substr(start, c.offset() - start);
+      break;
+    default: c.skip();
+  }
+}
+
+// A string slot's decoded text.
+std::string text_of(const Field& f) {
+  JsonCursor c(f.quoted);
+  return std::string(c.string());
+}
+
+void read_tuples(JsonCursor& c, TupleList& list, std::size_t arity,
+                 const char* shape_error) {
+  list.present = true;
+  list.values.clear();
+  list.is_array = c.peek() == JsonValue::Type::kArray;
+  if (!list.is_array) {
+    c.skip();
+    return;
+  }
+  if (!c.enter_array()) return;
+  do {
+    std::int64_t tuple[4] = {0, 0, 0, 0};
+    if (!list.error && c.integer_tuple(tuple, arity)) {
+      for (std::size_t i = 0; i < arity; ++i) list.values.push_back(tuple[i]);
+      continue;
+    }
+    if (list.error || c.peek() != JsonValue::Type::kArray) {
+      c.skip();
+      if (!list.error) list.error = shape_error;
+      continue;
+    }
+    const char* problem = nullptr;  // first element as_int() refuses
+    std::size_t count = 0;
+    if (c.enter_array()) {
+      do {
+        if (count < arity && c.peek() == JsonValue::Type::kNumber) {
+          const JsonNumber number = c.number();
+          tuple[count] = number.integer;
+          if (!number.exact && !problem) {
+            problem = "JSON number is not an exact integer";
+          }
+        } else {
+          if (count < arity && !problem) problem = "JSON value is not a number";
+          c.skip();
+        }
+        ++count;
+      } while (c.next_element());
+    }
+    if (count != arity) problem = shape_error;
+    if (problem) {
+      list.error = problem;
+    } else {
+      for (std::size_t i = 0; i < arity; ++i) list.values.push_back(tuple[i]);
+    }
+  } while (c.next_element());
+}
+
+void read_nested(JsonCursor& c, std::string_view line, NestedInput& in,
+                 std::initializer_list<std::string_view> field_names,
+                 std::string_view list_name, std::size_t arity,
+                 const char* shape_error) {
+  in.present = true;
+  in.type = c.peek();
+  if (in.type != JsonValue::Type::kObject) return c.skip();
+  read_object(c, [&](std::string_view key) {
+    if (key == list_name) {
+      if (in.list.present) return false;
+      read_tuples(c, in.list, arity, shape_error);
+      return true;
+    }
+    Field* field = in.fields;
+    for (std::string_view name : field_names) {
+      if (key == name) {
+        if (field->present) return false;
+        read_field(c, line, *field);
+        return true;
+      }
+      ++field;
+    }
+    return false;
+  });
+}
+
+// Reads the document; false when it is valid JSON but not an object.
+bool read_request(std::string_view line, RequestInput& in) {
+  JsonCursor c(line);
+  const bool is_object = c.peek() == JsonValue::Type::kObject;
+  if (!is_object) {
+    c.skip();
+  } else {
+    read_object(c, [&](std::string_view key) {
+      if (key == "graph") {
+        if (in.graph.present) return false;
+        read_nested(c, line, in.graph, {"n"}, "edges", 2,
+                    "graph edge must be a [u,v] pair");
+      } else if (key == "plan") {
+        if (in.plan.present) return false;
+        read_nested(c, line, in.plan, {"ring_size", "k"}, "pairs", 4,
+                    "plan pair must be [a,b,wavelength,timeslot]");
+      } else if (key == "add" || key == "remove") {
+        TupleList& list = key == "add" ? in.add : in.remove;
+        if (list.present) return false;
+        read_tuples(c, list, 2, "demand pair must be [a,b]");
+      } else {
+        for (const auto& [name, member] : kFields) {
+          if (key != name) continue;
+          if ((in.*member).present) return false;
+          read_field(c, line, in.*member);
+          return true;
+        }
+        return false;
+      }
+      return true;
+    });
+  }
+  c.finish();
+  return is_object;
+}
+
+// ---- semantic checks
+//
+// A failed check reports just its text — the message names the field and
+// does not change when this file does.
+
+[[noreturn]] void reject(const std::string& message) {
+  throw CheckError(message);
+}
+
+void require(bool ok, const char* message) {
+  if (!ok) reject(message);
+}
+
+// JsonValue::as_int()'s checks and messages, on a slot.
+std::int64_t as_int(const Field& f) {
+  require(f.type == JsonValue::Type::kNumber, "JSON value is not a number");
+  require(f.number.exact, "JSON number is not an exact integer");
+  return f.number.integer;
+}
+
+std::int64_t int_or(const Field& f, const char* name, std::int64_t fallback) {
+  if (!f.present) return fallback;
+  if (f.type != JsonValue::Type::kNumber) {
+    reject(std::string("\"") + name + "\" must be an integer");
+  }
+  return as_int(f);
+}
+
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+// int_or() whose result must lie in [lo, hi].
+std::int64_t int_in(const Field& f, const char* name, std::int64_t fallback,
+                    std::int64_t lo, std::int64_t hi, const char* message) {
+  const std::int64_t value = int_or(f, name, fallback);
+  require(value >= lo && value <= hi, message);
+  return value;
+}
+
+bool bool_or(const Field& f, const char* name, bool fallback) {
+  if (!f.present) return fallback;
+  if (f.type != JsonValue::Type::kBool) {
+    reject(std::string("\"") + name + "\" must be a boolean");
+  }
+  return f.boolean;
+}
+
+Graph build_graph(const NestedInput& g) {
+  require(g.type == JsonValue::Type::kObject, "\"graph\" must be an object");
+  require(g.fields[0].present, "graph.n is required");
+  const std::int64_t n = as_int(g.fields[0]);
+  require(n >= 0 && n <= 50'000'000, "graph.n out of range");
+  require(g.list.present && g.list.is_array,
+          "graph.edges (array) is required");
+  const std::vector<std::int64_t>& e = g.list.values;
+  const std::size_t m = e.size() / 2;
+  auto in_range = [n](std::int64_t x) { return x >= 0 && x < n; };
+  // Edges before the first bad endpoint can be indexed by endpoint.
+  std::size_t valid = 0;
+  while (valid < m && in_range(e[2 * valid]) && in_range(e[2 * valid + 1]) &&
+         e[2 * valid] != e[2 * valid + 1]) {
+    ++valid;
+  }
+  auto& degree = t_scratch.degree;
+  degree.assign(static_cast<std::size_t>(n), 0);
+  for (std::size_t i = 0; i < 2 * valid; ++i) {
+    ++degree[static_cast<std::size_t>(e[i])];
+  }
+  Graph graph(static_cast<NodeId>(n));
+  graph.reserve_edges(static_cast<EdgeId>(m));
+  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+    graph.reserve_degree(v, degree[static_cast<std::size_t>(v)]);
+  }
+  for (std::size_t i = 0; i < valid; ++i) {
+    const auto u = static_cast<NodeId>(e[2 * i]);
+    const auto v = static_cast<NodeId>(e[2 * i + 1]);
+    require(graph.find_edge(u, v) == kInvalidEdge,
+            "duplicate edge in graph.edges");
+    graph.add_edge(u, v);
+  }
+  if (valid < m) {
+    require(in_range(e[2 * valid]) && in_range(e[2 * valid + 1]),
+            "edge endpoint out of range");
+    reject("self-loop edges are not allowed");
+  }
+  if (g.list.error) reject(g.list.error);
+  return graph;
+}
+
+GroomingPlan build_plan(const NestedInput& p) {
+  require(p.type == JsonValue::Type::kObject, "\"plan\" must be an object");
+  const std::int64_t ring = int_in(p.fields[0], "ring_size", -1, 0, kMax,
+                                   "plan.ring_size is required");
+  const std::int64_t k =
+      int_in(p.fields[1], "k", -1, 1, kMax, "plan.k must be >= 1");
+  require(p.list.present && p.list.is_array, "plan.pairs (array) is required");
+  GroomingPlan plan;
+  plan.ring_size = static_cast<NodeId>(ring);
+  plan.grooming_factor = static_cast<int>(k);
+  const std::vector<std::int64_t>& t = p.list.values;
+  plan.pairs.reserve(t.size() / 4);
+  for (std::size_t i = 0; i < t.size(); i += 4) {
+    const std::int64_t a = t[i], b = t[i + 1];
+    require(a >= 0 && b >= 0 && a < ring && b < ring && a != b,
+            "plan pair endpoints out of range");
+    require(t[i + 2] >= 0, "plan wavelength must be >= 0");
+    require(t[i + 3] >= 0 && t[i + 3] < k, "plan timeslot out of range");
+    GroomedPair gp;
+    gp.pair = DemandPair{static_cast<NodeId>(std::min(a, b)),
+                         static_cast<NodeId>(std::max(a, b))};
+    gp.wavelength = static_cast<int>(t[i + 2]);
+    gp.timeslot = static_cast<int>(t[i + 3]);
+    plan.pairs.push_back(gp);
+  }
+  if (p.list.error) reject(p.list.error);
+  return plan;
+}
+
+// [[a,b],...] demand pairs; normalizes a < b, rejects a == b.
+std::vector<DemandPair> build_pairs(const TupleList& list) {
   std::vector<DemandPair> pairs;
-  pairs.reserve(v.array.size());
-  for (const JsonValue& p : v.array) {
-    TGROOM_CHECK_MSG(p.is_array() && p.array.size() == 2,
-                     "demand pair must be [a,b]");
-    std::int64_t a = p.array[0].as_int();
-    std::int64_t b = p.array[1].as_int();
-    TGROOM_CHECK_MSG(a >= 0 && b >= 0, "demand endpoints must be >= 0");
-    TGROOM_CHECK_MSG(a != b, "demand pair {x,x} is meaningless");
+  pairs.reserve(list.values.size() / 2);
+  for (std::size_t i = 0; i < list.values.size(); i += 2) {
+    const std::int64_t a = list.values[i], b = list.values[i + 1];
+    require(a >= 0 && b >= 0, "demand endpoints must be >= 0");
+    require(a != b, "demand pair {x,x} is meaningless");
     pairs.push_back(DemandPair{static_cast<NodeId>(std::min(a, b)),
                                static_cast<NodeId>(std::max(a, b))});
   }
+  if (list.error) reject(list.error);
   return pairs;
 }
 
-namespace {
-
-// ---- Fast request path -------------------------------------------------
-//
-// A strict in-place scanner for the request grammar that skips the
-// JsonValue tree entirely (the tree costs hundreds of small allocations
-// per request and dominates the cache-warm service profile).  The
-// contract: fast_parse_request() returns true ONLY for a completely valid
-// request, in which case its result is identical to the generic parser's.
-// On ANY surprise — structural (escapes, floats, unknown keys, duplicate
-// keys) or semantic (range violations, duplicate edges) — it returns
-// false and the caller re-parses generically, which reproduces the
-// canonical error messages.  The fast path never rejects a request, so
-// error behaviour is byte-for-byte unchanged.
-class FastScanner {
- public:
-  explicit FastScanner(std::string_view line)
-      : p_(line.data()), end_(line.data() + line.size()) {}
-
-  bool eat(char c) {
-    ws();
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  bool peek(char c) {
-    ws();
-    return p_ < end_ && *p_ == c;
-  }
-
-  bool at_end() {
-    ws();
-    return p_ == end_;
-  }
-
-  bool string(std::string_view& out) {
-    ws();
-    if (p_ >= end_ || *p_ != '"') return false;
-    const char* start = ++p_;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') return false;  // escapes → generic parser
-      ++p_;
-    }
-    if (p_ >= end_) return false;
-    out = std::string_view(start, static_cast<std::size_t>(p_ - start));
-    ++p_;
-    return true;
-  }
-
-  bool integer(std::int64_t& out) {
-    ws();
-    bool neg = false;
-    if (p_ < end_ && *p_ == '-') {
-      neg = true;
-      ++p_;
-    }
-    const char* digits = p_;
-    std::int64_t value = 0;
-    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') {
-      value = value * 10 + (*p_ - '0');
-      ++p_;
-    }
-    if (p_ == digits || p_ - digits > 18) return false;
-    if (p_ < end_ && (*p_ == '.' || *p_ == 'e' || *p_ == 'E')) return false;
-    out = neg ? -value : value;
-    return true;
-  }
-
-  bool boolean(bool& out) {
-    ws();
-    if (match("true")) {
-      out = true;
-      return true;
-    }
-    if (match("false")) {
-      out = false;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  void ws() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                         *p_ == '\r')) {
-      ++p_;
+void check_request(const RequestInput& in, ServiceRequest& request) {
+  require(in.op.present && in.op.type == JsonValue::Type::kString,
+          "\"op\" (string) is required");
+  const std::string name = text_of(in.op);
+  int op = 0;
+  while (name != service_op_name(static_cast<ServiceOp>(op))) {
+    if (++op > static_cast<int>(ServiceOp::kReplSnapshot)) {
+      reject("unknown op '" + name + "'");
     }
   }
+  request.op = static_cast<ServiceOp>(op);
 
-  bool match(std::string_view word) {
-    if (static_cast<std::size_t>(end_ - p_) < word.size()) return false;
-    if (std::string_view(p_, word.size()) != word) return false;
-    p_ += word.size();
-    return true;
+  request.deadline_ms = int_in(in.deadline_ms, "deadline_ms", 0, 0, kMax,
+                               "\"deadline_ms\" must be >= 0");
+  if (in.route_key.present) {
+    request.route_key = int_or(in.route_key, "route_key", 0);
+    request.has_route_key = true;
   }
 
-  const char* p_;
-  const char* end_;
-};
-
-// Reader-thread scratch, retained across requests so a warm reader parses
-// without heap allocation beyond what escapes into the ServiceRequest.
-thread_local std::vector<std::pair<std::int64_t, std::int64_t>>
-    t_edge_scratch;
-thread_local std::vector<NodeId> t_degree_scratch;
-
-bool fast_parse_graph(FastScanner& s, Graph& out) {
-  if (!s.eat('{')) return false;
-  std::int64_t n = -1;
-  bool have_n = false;
-  bool have_edges = false;
-  auto& edges = t_edge_scratch;
-  edges.clear();
-  if (!s.peek('}')) {
-    do {
-      std::string_view key;
-      if (!s.string(key) || !s.eat(':')) return false;
-      if (key == "n") {
-        if (have_n || !s.integer(n)) return false;
-        have_n = true;
-      } else if (key == "edges") {
-        if (have_edges || !s.eat('[')) return false;
-        have_edges = true;
-        if (!s.peek(']')) {
-          do {
-            std::int64_t u = 0, v = 0;
-            if (!s.eat('[') || !s.integer(u) || !s.eat(',') ||
-                !s.integer(v) || !s.eat(']')) {
-              return false;
-            }
-            edges.push_back({u, v});
-          } while (s.eat(','));
-        }
-        if (!s.eat(']')) return false;
-      } else {
-        return false;  // unknown graph key → generic parser decides
+  switch (request.op) {
+    case ServiceOp::kGroom: {
+      require(in.graph.present, "\"graph\" is required for groom");
+      request.graph = build_graph(in.graph);
+      if (in.algorithm.present) {
+        require(in.algorithm.type == JsonValue::Type::kString,
+                "\"algorithm\" must be a string");
+        const std::string algorithm = text_of(in.algorithm);
+        auto id = parse_algorithm_name(algorithm);
+        if (!id) reject("unknown algorithm '" + algorithm + "'");
+        request.algorithm = *id;
       }
-    } while (s.eat(','));
-  }
-  if (!s.eat('}')) return false;
-  if (!have_n || !have_edges) return false;
-  if (n < 0 || n > 50'000'000) return false;
-  for (const auto& [u, v] : edges) {
-    if (u < 0 || u >= n || v < 0 || v >= n || u == v) return false;
-  }
-
-  Graph g(static_cast<NodeId>(n));
-  g.reserve_edges(static_cast<EdgeId>(edges.size()));
-  auto& degree = t_degree_scratch;
-  degree.assign(static_cast<std::size_t>(n), 0);
-  for (const auto& [u, v] : edges) {
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
-  }
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    g.reserve_degree(v, degree[static_cast<std::size_t>(v)]);
-  }
-  for (const auto& [u, v] : edges) {
-    if (g.find_edge(static_cast<NodeId>(u), static_cast<NodeId>(v)) !=
-        kInvalidEdge) {
-      return false;  // duplicate edge → canonical error via generic path
+      request.k = static_cast<int>(
+          int_in(in.k, "k", 16, 1, 1'000'000, "\"k\" must be in [1, 1e6]"));
+      request.seed = static_cast<std::uint64_t>(int_or(in.seed, "seed", 1));
+      request.refine = bool_or(in.refine, "refine", false);
+      request.smart_branches =
+          bool_or(in.smart_branches, "smart_branches", false);
+      request.hold = bool_or(in.hold, "hold", false);
+      request.include_partition =
+          bool_or(in.include_partition, "include_partition", false);
+      break;
     }
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
-  }
-  out = std::move(g);
-  return true;
-}
-
-bool fast_parse_plan(FastScanner& s, GroomingPlan& plan) {
-  if (!s.eat('{')) return false;
-  std::int64_t ring = -1;
-  std::int64_t k = -1;
-  bool have_ring = false, have_k = false, have_pairs = false;
-  plan.pairs.clear();
-  if (!s.peek('}')) {
-    do {
-      std::string_view key;
-      if (!s.string(key) || !s.eat(':')) return false;
-      if (key == "ring_size") {
-        if (have_ring || !s.integer(ring)) return false;
-        have_ring = true;
-      } else if (key == "k") {
-        if (have_k || !s.integer(k)) return false;
-        have_k = true;
-      } else if (key == "pairs") {
-        if (have_pairs || !s.eat('[')) return false;
-        have_pairs = true;
-        if (!s.peek(']')) {
-          do {
-            std::int64_t a = 0, b = 0, wavelength = 0, timeslot = 0;
-            if (!s.eat('[') || !s.integer(a) || !s.eat(',') ||
-                !s.integer(b) || !s.eat(',') || !s.integer(wavelength) ||
-                !s.eat(',') || !s.integer(timeslot) || !s.eat(']')) {
-              return false;
-            }
-            GroomedPair gp;
-            gp.pair = DemandPair{static_cast<NodeId>(std::min(a, b)),
-                                 static_cast<NodeId>(std::max(a, b))};
-            gp.wavelength = static_cast<int>(wavelength);
-            gp.timeslot = static_cast<int>(timeslot);
-            plan.pairs.push_back(gp);
-          } while (s.eat(','));
-        }
-        if (!s.eat(']')) return false;
+    case ServiceOp::kProvision:
+    case ServiceOp::kRelease: {
+      const bool provision = request.op == ServiceOp::kProvision;
+      require(in.plan.present != in.plan_id.present,
+              provision
+                  ? "provision needs exactly one of \"plan\"/\"plan_id\""
+                  : "release needs exactly one of \"plan\"/\"plan_id\"");
+      if (in.plan.present) {
+        request.plan = build_plan(in.plan);
       } else {
-        return false;
+        request.plan_id = as_int(in.plan_id);
+        require(request.plan_id >= 0, "\"plan_id\" must be >= 0");
       }
-    } while (s.eat(','));
-  }
-  if (!s.eat('}')) return false;
-  if (!have_ring || !have_pairs || ring < 0 || k < 1) return false;
-  for (const GroomedPair& gp : plan.pairs) {
-    if (gp.pair.a < 0 || gp.pair.b >= static_cast<NodeId>(ring) ||
-        gp.pair.a == gp.pair.b || gp.wavelength < 0 || gp.timeslot < 0 ||
-        gp.timeslot >= k) {
-      return false;
-    }
-  }
-  plan.ring_size = static_cast<NodeId>(ring);
-  plan.grooming_factor = static_cast<int>(k);
-  return true;
-}
-
-bool fast_parse_request(std::string_view line, RequestParse& out) {
-  FastScanner s(line);
-  if (!s.eat('{')) return false;
-
-  ServiceRequest request;
-  std::string_view op;
-  std::int64_t k = 16, seed = 1;
-  bool have_op = false, have_id = false, have_graph = false;
-  bool have_algorithm = false, have_k = false, have_seed = false;
-  bool have_refine = false, have_smart = false, have_hold = false;
-  bool have_include_partition = false, have_deadline = false;
-  bool have_plan = false, have_plan_id = false, have_add = false;
-  bool have_include_plan = false;
-  bool have_remove = false, have_all = false, have_repair = false;
-  bool have_route_key = false;
-
-  if (!s.peek('}')) {
-    do {
-      std::string_view key;
-      if (!s.string(key) || !s.eat(':')) return false;
-      if (key == "op") {
-        if (have_op || !s.string(op)) return false;
-        have_op = true;
-      } else if (key == "id") {
-        if (have_id || !s.integer(request.id)) return false;
-        have_id = true;
-      } else if (key == "graph") {
-        if (have_graph || !fast_parse_graph(s, request.graph)) return false;
-        have_graph = true;
-      } else if (key == "algorithm") {
-        std::string_view name;
-        if (have_algorithm || !s.string(name)) return false;
-        auto algorithm = parse_algorithm_name(std::string(name));
-        if (!algorithm.has_value()) return false;
-        request.algorithm = *algorithm;
-        have_algorithm = true;
-      } else if (key == "k") {
-        if (have_k || !s.integer(k)) return false;
-        have_k = true;
-      } else if (key == "seed") {
-        if (have_seed || !s.integer(seed)) return false;
-        have_seed = true;
-      } else if (key == "refine") {
-        if (have_refine || !s.boolean(request.refine)) return false;
-        have_refine = true;
-      } else if (key == "smart_branches") {
-        if (have_smart || !s.boolean(request.smart_branches)) return false;
-        have_smart = true;
-      } else if (key == "hold") {
-        if (have_hold || !s.boolean(request.hold)) return false;
-        have_hold = true;
-      } else if (key == "include_partition") {
-        if (have_include_partition ||
-            !s.boolean(request.include_partition)) {
-          return false;
-        }
-        have_include_partition = true;
-      } else if (key == "deadline_ms") {
-        if (have_deadline || !s.integer(request.deadline_ms)) return false;
-        have_deadline = true;
-      } else if (key == "plan") {
-        request.plan.emplace();
-        if (have_plan || !fast_parse_plan(s, *request.plan)) return false;
-        have_plan = true;
-      } else if (key == "plan_id") {
-        if (have_plan_id || !s.integer(request.plan_id)) return false;
-        have_plan_id = true;
-      } else if (key == "add") {
-        if (have_add || !s.eat('[')) return false;
-        have_add = true;
-        if (!s.peek(']')) {
-          do {
-            std::int64_t a = 0, b = 0;
-            if (!s.eat('[') || !s.integer(a) || !s.eat(',') ||
-                !s.integer(b) || !s.eat(']')) {
-              return false;
-            }
-            if (a < 0 || b < 0 || a == b) return false;
-            request.add.push_back(
-                DemandPair{static_cast<NodeId>(std::min(a, b)),
-                           static_cast<NodeId>(std::max(a, b))});
-          } while (s.eat(','));
-        }
-        if (!s.eat(']')) return false;
-      } else if (key == "include_plan") {
-        if (have_include_plan || !s.boolean(request.include_plan)) {
-          return false;
-        }
-        have_include_plan = true;
-      } else if (key == "remove") {
-        if (have_remove || !s.eat('[')) return false;
-        have_remove = true;
-        if (!s.peek(']')) {
-          do {
-            std::int64_t a = 0, b = 0;
-            if (!s.eat('[') || !s.integer(a) || !s.eat(',') ||
-                !s.integer(b) || !s.eat(']')) {
-              return false;
-            }
-            if (a < 0 || b < 0 || a == b) return false;
-            request.remove.push_back(
-                DemandPair{static_cast<NodeId>(std::min(a, b)),
-                           static_cast<NodeId>(std::max(a, b))});
-          } while (s.eat(','));
-        }
-        if (!s.eat(']')) return false;
-      } else if (key == "all") {
-        if (have_all || !s.boolean(request.release_all)) return false;
-        have_all = true;
-      } else if (key == "repair") {
-        if (have_repair || !s.boolean(request.repair)) return false;
-        have_repair = true;
-      } else if (key == "route_key") {
-        if (have_route_key || !s.integer(request.route_key)) return false;
-        request.has_route_key = true;
-        have_route_key = true;
+      if (provision) {
+        require(in.add.present, "\"add\" is required for provision");
+        require(in.add.is_array, "\"add\" must be an array of [a,b] pairs");
+        request.add = build_pairs(in.add);
+        require(!request.add.empty(), "\"add\" lists no pairs");
+        request.include_plan = bool_or(in.include_plan, "include_plan", false);
+        break;
+      }
+      request.release_all = bool_or(in.all, "all", false);
+      if (request.release_all) {
+        require(!in.remove.present,
+                "release takes \"remove\" or \"all\", not both");
+        require(!in.plan.present,
+                "\"all\" releases a held plan; use \"plan_id\"");
       } else {
-        return false;  // unknown key → let the generic parser decide
+        require(in.remove.present,
+                "release needs \"remove\" pairs or \"all\":true");
+        require(in.remove.is_array,
+                "\"remove\" must be an array of [a,b] pairs");
+        request.remove = build_pairs(in.remove);
+        require(!request.remove.empty(), "\"remove\" lists no pairs");
       }
-    } while (s.eat(','));
+      request.repair = bool_or(in.repair, "repair", true);
+      request.include_plan = bool_or(in.include_plan, "include_plan", false);
+      break;
+    }
+    case ServiceOp::kReplHandshake: {
+      request.repl_store_version =
+          int_in(in.store_version, "store_version", -1, 0, kMax,
+                 "\"store_version\" is required for repl_handshake");
+      request.repl_fingerprint_version =
+          int_in(in.fingerprint_version, "fingerprint_version", -1, 0, kMax,
+                 "\"fingerprint_version\" is required for repl_handshake");
+      request.repl_start_seq = static_cast<std::uint64_t>(int_in(
+          in.start_seq, "start_seq", 0, 0, kMax, "\"start_seq\" must be >= 0"));
+      const std::int64_t crc = int_or(in.last_crc, "last_crc", -1);
+      if (crc >= 0) {
+        require(crc <= 0xffffffffll, "\"last_crc\" must fit in 32 bits");
+        request.repl_has_last_crc = true;
+        request.repl_last_crc = static_cast<std::uint32_t>(crc);
+      }
+      break;
+    }
+    case ServiceOp::kReplFetch: {
+      request.repl_from_seq = static_cast<std::uint64_t>(
+          int_in(in.from_seq, "from_seq", -1, 0, kMax,
+                 "\"from_seq\" (>= 0) is required for repl_fetch"));
+      request.repl_max_records = int_in(in.max_records, "max_records", 0, 0,
+                                        kMax, "\"max_records\" must be >= 0");
+      request.repl_ack_seq = static_cast<std::uint64_t>(int_in(
+          in.ack_seq, "ack_seq", 0, 0, kMax, "\"ack_seq\" must be >= 0"));
+      if (in.follower.present) {
+        require(in.follower.type == JsonValue::Type::kString,
+                "\"follower\" must be a string");
+        request.repl_follower = text_of(in.follower);
+      }
+      break;
+    }
+    default:
+      break;
   }
-  if (!s.eat('}') || !s.at_end()) return false;
-
-  if (!have_op) return false;
-  if (request.deadline_ms < 0) return false;
-  if (op == "groom") {
-    request.op = ServiceOp::kGroom;
-    if (!have_graph) return false;
-    if (have_plan || have_plan_id || have_add || have_include_plan ||
-        have_remove || have_all || have_repair) {
-      return false;
-    }
-    if (k < 1 || k > 1'000'000) return false;
-    request.k = static_cast<int>(k);
-    request.seed = static_cast<std::uint64_t>(seed);
-  } else if (op == "provision") {
-    request.op = ServiceOp::kProvision;
-    if (have_plan == have_plan_id) return false;
-    if (have_plan_id && request.plan_id < 0) return false;
-    if (!have_add || request.add.empty()) return false;
-    if (have_graph || have_algorithm || have_k || have_seed ||
-        have_remove || have_all || have_repair) {
-      return false;
-    }
-  } else if (op == "release") {
-    request.op = ServiceOp::kRelease;
-    if (have_plan == have_plan_id) return false;
-    if (have_plan_id && request.plan_id < 0) return false;
-    // Exactly one of a non-empty "remove" list or "all":true ("all":false
-    // reads as absent, matching the generic parser).
-    const bool removing = have_remove && !request.remove.empty();
-    const bool dropping = have_all && request.release_all;
-    if (removing == dropping) return false;
-    if (have_remove && request.remove.empty()) return false;
-    if (dropping && have_plan) return false;  // "all" needs a held plan
-    if (have_graph || have_algorithm || have_k || have_seed || have_add) {
-      return false;
-    }
-  } else if (op == "stats" || op == "shutdown" || op == "health" ||
-             op == "promote") {
-    request.op = op == "stats"      ? ServiceOp::kStats
-                 : op == "shutdown" ? ServiceOp::kShutdown
-                 : op == "health"   ? ServiceOp::kHealth
-                                    : ServiceOp::kPromote;
-    if (have_graph || have_plan || have_add || have_remove) return false;
-  } else {
-    return false;
-  }
-
-  out.id = request.id;
-  out.has_id = have_id;
-  request.has_id = have_id;
-  out.request = std::move(request);
-  return true;
 }
 
 }  // namespace
 
 RequestParse parse_request(std::string_view line) {
-  {
-    RequestParse fast;
-    if (fast_parse_request(line, fast)) return fast;
-  }
   RequestParse out;
-  JsonValue doc;
+  RequestInput in;
   try {
-    doc = parse_json(line);
+    if (!read_request(line, in)) {
+      out.error = "request must be a JSON object";
+      return out;
+    }
   } catch (const CheckError& e) {
     out.error = e.what();
     return out;
   }
-  if (!doc.is_object()) {
-    out.error = "request must be a JSON object";
-    return out;
-  }
-  try {
-    if (const JsonValue* id = doc.find("id")) {
-      out.id = id->as_int();
-      out.has_id = true;
+  if (in.id.present) {
+    if (in.id.type != JsonValue::Type::kNumber || !in.id.number.exact) {
+      out.error = "\"id\" must be an integer";
+      return out;
     }
-  } catch (const CheckError&) {
-    out.error = "\"id\" must be an integer";
-    return out;
+    out.id = in.id.number.integer;
+    out.has_id = true;
   }
-
   ServiceRequest request;
   request.id = out.id;
   request.has_id = out.has_id;
   try {
-    const JsonValue* op = doc.find("op");
-    TGROOM_CHECK_MSG(op != nullptr && op->is_string(),
-                     "\"op\" (string) is required");
-    if (op->string == "groom") request.op = ServiceOp::kGroom;
-    else if (op->string == "provision") request.op = ServiceOp::kProvision;
-    else if (op->string == "release") request.op = ServiceOp::kRelease;
-    else if (op->string == "stats") request.op = ServiceOp::kStats;
-    else if (op->string == "shutdown") request.op = ServiceOp::kShutdown;
-    else if (op->string == "health") request.op = ServiceOp::kHealth;
-    else if (op->string == "promote") request.op = ServiceOp::kPromote;
-    else if (op->string == "repl_handshake")
-      request.op = ServiceOp::kReplHandshake;
-    else if (op->string == "repl_fetch") request.op = ServiceOp::kReplFetch;
-    else if (op->string == "repl_snapshot")
-      request.op = ServiceOp::kReplSnapshot;
-    else TGROOM_CHECK_MSG(false, "unknown op '" + op->string + "'");
-
-    request.deadline_ms = int_field(doc, "deadline_ms", 0);
-    TGROOM_CHECK_MSG(request.deadline_ms >= 0,
-                     "\"deadline_ms\" must be >= 0");
-    if (doc.find("route_key") != nullptr) {
-      request.route_key = int_field(doc, "route_key", 0);
-      request.has_route_key = true;
-    }
-
-    if (request.op == ServiceOp::kGroom) {
-      const JsonValue* graph = doc.find("graph");
-      TGROOM_CHECK_MSG(graph != nullptr, "\"graph\" is required for groom");
-      request.graph = graph_from_json(*graph);
-      if (const JsonValue* algorithm = doc.find("algorithm")) {
-        TGROOM_CHECK_MSG(algorithm->is_string(),
-                         "\"algorithm\" must be a string");
-        auto id = parse_algorithm_name(algorithm->string);
-        TGROOM_CHECK_MSG(id.has_value(),
-                         "unknown algorithm '" + algorithm->string + "'");
-        request.algorithm = *id;
-      }
-      std::int64_t k = int_field(doc, "k", 16);
-      TGROOM_CHECK_MSG(k >= 1 && k <= 1'000'000, "\"k\" must be in [1, 1e6]");
-      request.k = static_cast<int>(k);
-      request.seed = static_cast<std::uint64_t>(int_field(doc, "seed", 1));
-      request.refine = bool_field(doc, "refine", false);
-      request.smart_branches = bool_field(doc, "smart_branches", false);
-      request.hold = bool_field(doc, "hold", false);
-      request.include_partition = bool_field(doc, "include_partition", false);
-    } else if (request.op == ServiceOp::kProvision) {
-      const JsonValue* plan = doc.find("plan");
-      const JsonValue* plan_id = doc.find("plan_id");
-      TGROOM_CHECK_MSG((plan != nullptr) != (plan_id != nullptr),
-                       "provision needs exactly one of \"plan\"/\"plan_id\"");
-      if (plan != nullptr) {
-        request.plan = plan_from_json(*plan);
-      } else {
-        request.plan_id = plan_id->as_int();
-        TGROOM_CHECK_MSG(request.plan_id >= 0, "\"plan_id\" must be >= 0");
-      }
-      const JsonValue* add = doc.find("add");
-      TGROOM_CHECK_MSG(add != nullptr, "\"add\" is required for provision");
-      request.add = demand_pairs_from_json(*add);
-      TGROOM_CHECK_MSG(!request.add.empty(), "\"add\" lists no pairs");
-      request.include_plan = bool_field(doc, "include_plan", false);
-    } else if (request.op == ServiceOp::kRelease) {
-      const JsonValue* plan = doc.find("plan");
-      const JsonValue* plan_id = doc.find("plan_id");
-      TGROOM_CHECK_MSG((plan != nullptr) != (plan_id != nullptr),
-                       "release needs exactly one of \"plan\"/\"plan_id\"");
-      if (plan != nullptr) {
-        request.plan = plan_from_json(*plan);
-      } else {
-        request.plan_id = plan_id->as_int();
-        TGROOM_CHECK_MSG(request.plan_id >= 0, "\"plan_id\" must be >= 0");
-      }
-      request.release_all = bool_field(doc, "all", false);
-      const JsonValue* remove = doc.find("remove");
-      if (request.release_all) {
-        TGROOM_CHECK_MSG(remove == nullptr,
-                         "release takes \"remove\" or \"all\", not both");
-        TGROOM_CHECK_MSG(plan == nullptr,
-                         "\"all\" releases a held plan; use \"plan_id\"");
-      } else {
-        TGROOM_CHECK_MSG(remove != nullptr,
-                         "release needs \"remove\" pairs or \"all\":true");
-        TGROOM_CHECK_MSG(remove->is_array(),
-                         "\"remove\" must be an array of [a,b] pairs");
-        request.remove = demand_pairs_from_json(*remove);
-        TGROOM_CHECK_MSG(!request.remove.empty(),
-                         "\"remove\" lists no pairs");
-      }
-      request.repair = bool_field(doc, "repair", true);
-      request.include_plan = bool_field(doc, "include_plan", false);
-    } else if (request.op == ServiceOp::kReplHandshake) {
-      request.repl_store_version = int_field(doc, "store_version", -1);
-      TGROOM_CHECK_MSG(request.repl_store_version >= 0,
-                       "\"store_version\" is required for repl_handshake");
-      request.repl_fingerprint_version =
-          int_field(doc, "fingerprint_version", -1);
-      TGROOM_CHECK_MSG(
-          request.repl_fingerprint_version >= 0,
-          "\"fingerprint_version\" is required for repl_handshake");
-      const std::int64_t start = int_field(doc, "start_seq", 0);
-      TGROOM_CHECK_MSG(start >= 0, "\"start_seq\" must be >= 0");
-      request.repl_start_seq = static_cast<std::uint64_t>(start);
-      const std::int64_t crc = int_field(doc, "last_crc", -1);
-      if (crc >= 0) {
-        TGROOM_CHECK_MSG(crc <= 0xffffffffll,
-                         "\"last_crc\" must fit in 32 bits");
-        request.repl_has_last_crc = true;
-        request.repl_last_crc = static_cast<std::uint32_t>(crc);
-      }
-    } else if (request.op == ServiceOp::kReplFetch) {
-      const std::int64_t from = int_field(doc, "from_seq", -1);
-      TGROOM_CHECK_MSG(from >= 0,
-                       "\"from_seq\" (>= 0) is required for repl_fetch");
-      request.repl_from_seq = static_cast<std::uint64_t>(from);
-      request.repl_max_records = int_field(doc, "max_records", 0);
-      TGROOM_CHECK_MSG(request.repl_max_records >= 0,
-                       "\"max_records\" must be >= 0");
-      const std::int64_t ack = int_field(doc, "ack_seq", 0);
-      TGROOM_CHECK_MSG(ack >= 0, "\"ack_seq\" must be >= 0");
-      request.repl_ack_seq = static_cast<std::uint64_t>(ack);
-      if (const JsonValue* follower = doc.find("follower")) {
-        TGROOM_CHECK_MSG(follower->is_string(),
-                         "\"follower\" must be a string");
-        request.repl_follower = follower->string;
-      }
-    }
+    check_request(in, request);
   } catch (const CheckError& e) {
     out.error = e.what();
     return out;

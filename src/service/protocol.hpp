@@ -62,6 +62,11 @@
 // against a single node; the router uses it to pin held-plan operations
 // to the shard that owns the plan (DESIGN.md §17).
 //
+// Members may come in any order.  The first occurrence of a member is the
+// one that counts; later repeats and unknown members are ignored, though
+// they must still be valid JSON.  Integers are JSON integers: a leading
+// zero (01) is a syntax error, and 4.0 or 4e0 read as 4.
+//
 // The serializers here are shared with the CLI's `--format json` output,
 // so scripted pipelines and service clients parse one format.
 #pragma once
@@ -176,6 +181,16 @@ struct RequestParse {
 /// RequestParse::error.  Takes a view so the event loop can parse
 /// directly out of a connection's read buffer without copying the line;
 /// nothing in the result aliases `line`.
+///
+/// One JsonCursor pass (util/json.hpp) reads the first occurrence of each
+/// member above into a typed slot; repeated and unknown members are
+/// skipped but still syntax-checked.  A syntax error reports
+/// "JSON parse error at offset N: ..." with no id echo.  Otherwise the
+/// semantic checks run in a fixed order, and a failure reports the
+/// check's text alone (e.g. "\"k\" must be in [1, 1e6]") with the id
+/// echoed when "id" was an integer.  Integer fields take plain literals
+/// of up to 18 digits exactly and other spellings (4.0, 4e0) when their
+/// value is an exact integer; leading zeros are a syntax error.
 RequestParse parse_request(std::string_view line);
 
 /// One structured error response line (without trailing newline).
@@ -197,11 +212,11 @@ void begin_ok_response(JsonWriter& w, std::int64_t id, bool has_id,
 
 /// {"n":...,"edges":[[u,v],...]} with real edges in id order.
 void write_graph_json(JsonWriter& w, const Graph& g);
-/// Builds a simple graph; throws CheckError on malformed/duplicate input.
-Graph graph_from_json(const JsonValue& v);
 
 /// {"ring_size":...,"k":...,"pairs":[[a,b,wavelength,timeslot],...]}.
 void write_plan_json(JsonWriter& w, const GroomingPlan& plan);
+/// The inverse, from a parsed tree (a replica's snapshot bootstrap);
+/// throws CheckError on malformed input.
 GroomingPlan plan_from_json(const JsonValue& v);
 
 /// The parts array only: [[edge ids...],...].
@@ -219,8 +234,5 @@ void write_incremental_json(JsonWriter& w, const IncrementalResult& result,
 /// sadms/wavelengths[, plan].  `plan` is the residual plan.
 void write_release_json(JsonWriter& w, const ReleaseStats& stats,
                         const GroomingPlan& plan, bool include_plan);
-
-/// [[a,b],...] demand pairs; normalizes a < b, rejects a == b.
-std::vector<DemandPair> demand_pairs_from_json(const JsonValue& v);
 
 }  // namespace tgroom

@@ -151,236 +151,222 @@ const JsonValue* JsonValue::find(std::string_view name) const {
   return nullptr;
 }
 
+namespace {
+
+// as_int()'s rule: integral and within the range a double holds exactly.
+bool exact_integer(double number) {
+  return std::nearbyint(number) == number &&
+         std::abs(number) <= 9.007199254740992e15;
+}
+
+}  // namespace
+
 std::int64_t JsonValue::as_int() const {
   TGROOM_CHECK_MSG(type == Type::kNumber, "JSON value is not a number");
-  TGROOM_CHECK_MSG(std::nearbyint(number) == number &&
-                       std::abs(number) <= 9.007199254740992e15,
+  TGROOM_CHECK_MSG(exact_integer(number),
                    "JSON number is not an exact integer");
   return static_cast<std::int64_t>(number);
 }
 
-namespace {
+void JsonCursor::fail(std::string_view what) const {
+  throw CheckError("JSON parse error at offset " + std::to_string(pos_) +
+                   ": " + std::string(what));
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+void JsonCursor::expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
 
-  JsonValue parse_document() {
-    JsonValue value = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return value;
-  }
+std::string_view JsonCursor::key() {
+  skip_ws();
+  if (peek_char() != '"') fail("expected object key string");
+  const std::string_view name = string();
+  skip_ws();
+  expect(':');
+  return name;
+}
 
- private:
-  static constexpr int kMaxDepth = 64;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw CheckError("JSON parse error at offset " + std::to_string(pos_) +
-                     ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
+std::string_view JsonCursor::string() {
+  skip_ws();
+  expect('"');
+  // Escape-free strings (nearly all of them) are returned in place.
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
     ++pos_;
   }
+  if (pos_ < text_.size() && text_[pos_] == '"') {
+    return text_.substr(start, pos_++ - start);
+  }
+  buf_.assign(text_.substr(start, pos_ - start));
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return buf_;
+    if (c != '\\') {
+      buf_ += c;
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    switch (text_[pos_++]) {
+      case '"': buf_ += '"'; break;
+      case '\\': buf_ += '\\'; break;
+      case '/': buf_ += '/'; break;
+      case 'b': buf_ += '\b'; break;
+      case 'f': buf_ += '\f'; break;
+      case 'n': buf_ += '\n'; break;
+      case 'r': buf_ += '\r'; break;
+      case 't': buf_ += '\t'; break;
+      case 'u': append_codepoint(); break;
+      default: fail("bad escape character");
+    }
+  }
+}
 
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
+unsigned JsonCursor::hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    code <<= 4;
+    if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("bad hex digit in \\u escape");
+  }
+  return code;
+}
+
+void JsonCursor::append_codepoint() {
+  unsigned code = hex4();
+  if (code >= 0xD800 && code <= 0xDBFF) {
+    // High surrogate: must pair with \uDC00..\uDFFF.
+    if (text_.substr(pos_, 2) != "\\u") fail("unpaired surrogate");
+    pos_ += 2;
+    const unsigned low = hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
+    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+  } else if (code >= 0xDC00 && code <= 0xDFFF) {
+    fail("unpaired surrogate");
+  }
+  if (code < 0x80) {
+    buf_ += static_cast<char>(code);
+  } else if (code < 0x800) {
+    buf_ += static_cast<char>(0xC0 | (code >> 6));
+    buf_ += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    buf_ += static_cast<char>(0xE0 | (code >> 12));
+    buf_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    buf_ += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    buf_ += static_cast<char>(0xF0 | (code >> 18));
+    buf_ += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    buf_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    buf_ += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+JsonNumber JsonCursor::number_token() {
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+  if (pos_ == start) fail("expected a value");
+  const std::string token(text_.substr(start, pos_ - start));
+  // strtod is lenient about leading zeros; JSON is not ("01" is invalid).
+  const std::size_t lead = token[0] == '-' ? 1 : 0;
+  if (token.size() > lead + 1 && token[lead] == '0' &&
+      is_digit(token[lead + 1])) {
+    fail("malformed number (leading zero)");
+  }
+  char* end = nullptr;
+  JsonNumber out;
+  out.value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size()) fail("malformed number");
+  out.exact = exact_integer(out.value);
+  if (out.exact) out.integer = static_cast<std::int64_t>(out.value);
+  return out;
+}
+
+bool JsonCursor::boolean() {
+  skip_ws();
+  if (text_.substr(pos_, 4) == "true") {
+    pos_ += 4;
     return true;
   }
+  if (text_.substr(pos_, 5) != "false") fail("bad literal");
+  pos_ += 5;
+  return false;
+}
 
-  JsonValue parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    char c = peek();
-    JsonValue value;
-    switch (c) {
-      case '{': {
-        value.type = JsonValue::Type::kObject;
-        expect('{');
-        skip_ws();
-        if (peek() == '}') {
-          ++pos_;
-          return value;
-        }
-        while (true) {
-          skip_ws();
-          if (peek() != '"') fail("expected object key string");
-          std::string key = parse_string_body();
-          skip_ws();
-          expect(':');
-          value.object.emplace_back(std::move(key), parse_value(depth + 1));
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          expect('}');
-          return value;
-        }
+void JsonCursor::null() {
+  skip_ws();
+  if (text_.substr(pos_, 4) != "null") fail("bad literal");
+  pos_ += 4;
+}
+
+void JsonCursor::skip() {
+  switch (peek()) {
+    case JsonValue::Type::kObject:
+      if (enter_object()) {
+        do {
+          key();
+          skip();
+        } while (next_member());
       }
-      case '[': {
-        value.type = JsonValue::Type::kArray;
-        expect('[');
-        skip_ws();
-        if (peek() == ']') {
-          ++pos_;
-          return value;
-        }
-        while (true) {
-          value.array.push_back(parse_value(depth + 1));
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          expect(']');
-          return value;
-        }
+      break;
+    case JsonValue::Type::kArray:
+      if (enter_array()) {
+        do {
+          skip();
+        } while (next_element());
       }
-      case '"':
-        value.type = JsonValue::Type::kString;
-        value.string = parse_string_body();
-        return value;
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        value.type = JsonValue::Type::kBool;
-        value.boolean = true;
-        return value;
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        value.type = JsonValue::Type::kBool;
-        value.boolean = false;
-        return value;
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return value;
-      default:
-        return parse_number();
-    }
+      break;
+    case JsonValue::Type::kString: string(); break;
+    case JsonValue::Type::kBool: boolean(); break;
+    case JsonValue::Type::kNull: null(); break;
+    case JsonValue::Type::kNumber: number(); break;
   }
+}
 
-  std::string parse_string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+void JsonCursor::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after document");
+}
+
+namespace {
+
+JsonValue read_tree(JsonCursor& c) {
+  JsonValue value;
+  value.type = c.peek();
+  switch (value.type) {
+    case JsonValue::Type::kObject:
+      if (c.enter_object()) {
+        do {
+          std::string key(c.key());
+          value.object.emplace_back(std::move(key), read_tree(c));
+        } while (c.next_member());
       }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_codepoint(out); break;
-        default: fail("bad escape character");
+      break;
+    case JsonValue::Type::kArray:
+      if (c.enter_array()) {
+        do {
+          value.array.push_back(read_tree(c));
+        } while (c.next_element());
       }
-    }
+      break;
+    case JsonValue::Type::kString: value.string = c.string(); break;
+    case JsonValue::Type::kBool: value.boolean = c.boolean(); break;
+    case JsonValue::Type::kNull: c.null(); break;
+    case JsonValue::Type::kNumber: value.number = c.number().value; break;
   }
-
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      code <<= 4;
-      if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("bad hex digit in \\u escape");
-    }
-    return code;
-  }
-
-  void append_codepoint(std::string& out) {
-    unsigned code = parse_hex4();
-    if (code >= 0xD800 && code <= 0xDBFF) {
-      // High surrogate: must pair with \uDC00..\uDFFF.
-      if (!consume_literal("\\u")) fail("unpaired surrogate");
-      unsigned low = parse_hex4();
-      if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
-      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-    } else if (code >= 0xDC00 && code <= 0xDFFF) {
-      fail("unpaired surrogate");
-    }
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  JsonValue parse_number() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    std::string token(text_.substr(start, pos_ - start));
-    // strtod is lenient about leading zeros; JSON is not ("01" is invalid).
-    std::size_t digits = token[0] == '-' ? 1 : 0;
-    if (token.size() > digits + 1 && token[digits] == '0' &&
-        token[digits + 1] >= '0' && token[digits + 1] <= '9') {
-      fail("malformed number (leading zero)");
-    }
-    char* end = nullptr;
-    double number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
-    JsonValue value;
-    value.type = JsonValue::Type::kNumber;
-    value.number = number;
-    return value;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return value;
+}
 
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
-  return JsonParser(text).parse_document();
+  JsonCursor c(text);
+  JsonValue value = read_tree(c);
+  c.finish();
+  return value;
 }
 
 }  // namespace tgroom

@@ -331,14 +331,46 @@ TEST(Protocol, ParseErrorsAreStructured) {
   EXPECT_FALSE(
       parse_request(R"({"op":"provision","plan_id":1,"add":[[2,2]]})")
           .request.has_value());
+  // Leading zeros are malformed numbers, wherever the integer sits; a
+  // syntax error echoes no id.
+  for (const char* line :
+       {R"({"op":"groom","id":01,"graph":{"n":2,"edges":[[0,1]]}})",
+        R"({"op":"groom","id":1,"k":04,"graph":{"n":2,"edges":[[0,1]]}})",
+        R"({"op":"groom","id":1,"graph":{"n":2,"edges":[[00,1]]}})"}) {
+    RequestParse zero = parse_request(line);
+    EXPECT_FALSE(zero.request.has_value()) << line;
+    EXPECT_FALSE(zero.has_id) << line;
+    EXPECT_NE(zero.error.find("malformed number (leading zero)"),
+              std::string::npos)
+        << zero.error;
+  }
+}
+
+TEST(Protocol, ParseErrorsNameTheField) {
+  // Semantic failures carry the check's text only: no source path or line.
+  RequestParse k = parse_request(
+      R"({"op":"groom","id":7,"k":0,"graph":{"n":2,"edges":[[0,1]]}})");
+  EXPECT_EQ(k.error, "\"k\" must be in [1, 1e6]");
+  EXPECT_TRUE(k.has_id);
+  EXPECT_EQ(k.id, 7);
+  EXPECT_EQ(parse_request(R"({"op":"provision","id":8,"plan_id":1,"add":[]})")
+                .error,
+            "\"add\" lists no pairs");
+  EXPECT_EQ(parse_request(
+                R"({"op":"groom","id":9,"graph":{"n":3,"edges":[[1,1]]}})")
+                .error,
+            "self-loop edges are not allowed");
 }
 
 TEST(Protocol, GraphAndPlanRoundTrip) {
   Graph g = test_graph(10, 0.5, 7);
   JsonWriter w;
+  w.begin_object().kv("op", "groom").key("graph");
   write_graph_json(w, g);
-  Graph back = graph_from_json(parse_json(w.str()));
-  EXPECT_EQ(graph_fingerprint(g), graph_fingerprint(back));
+  w.end_object();
+  RequestParse back = parse_request(w.str());
+  ASSERT_TRUE(back.request.has_value()) << back.error;
+  EXPECT_EQ(graph_fingerprint(g), graph_fingerprint(back.request->graph));
 
   EdgePartition partition = run_algorithm(AlgorithmId::kSpanTEuler, g, 4);
   GroomingPlan plan =

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <mutex>
@@ -306,6 +307,46 @@ TEST(Json, AsIntRejectsNonIntegral) {
   EXPECT_THROW(parse_json("2.5").as_int(), CheckError);
   EXPECT_THROW(parse_json("true").as_int(), CheckError);
   EXPECT_EQ(parse_json("9007199254740992").as_int(), 9007199254740992LL);
+}
+
+TEST(JsonCursor, ReadsPlainIntegersExactly) {
+  // Up to 18 digits: exact int64, even past 2^53.
+  JsonNumber n = JsonCursor("123456789012345678").number();
+  EXPECT_TRUE(n.exact);
+  EXPECT_EQ(n.integer, 123456789012345678LL);
+  // Other spellings go through strtod and as_int()'s rule.
+  n = JsonCursor("4e0").number();
+  EXPECT_TRUE(n.exact);
+  EXPECT_EQ(n.integer, 4);
+  EXPECT_FALSE(JsonCursor("1234567890123456789").number().exact);
+  EXPECT_FALSE(JsonCursor("2.5").number().exact);
+  EXPECT_TRUE(std::signbit(JsonCursor("-0").number().value));
+  EXPECT_THROW(JsonCursor("01").number(), CheckError);
+}
+
+TEST(JsonCursor, WalksMembersAndSkipsValues) {
+  const std::string doc = R"( {"a" : [1, {"b":"\u0069d"}], "\u0069d": 7 } )";
+  JsonCursor c(doc);
+  ASSERT_EQ(c.peek(), JsonValue::Type::kObject);
+  ASSERT_TRUE(c.enter_object());
+  EXPECT_EQ(c.key(), "a");
+  c.skip();
+  EXPECT_EQ(doc.substr(c.offset() - 1, 1), "]");
+  ASSERT_TRUE(c.next_member());
+  EXPECT_EQ(c.key(), "id");  // keys come back decoded
+  EXPECT_EQ(c.number().integer, 7);
+  EXPECT_FALSE(c.next_member());
+  c.finish();
+  // Errors carry the byte offset.
+  JsonCursor bad(R"({"a" 1})");
+  bad.peek();
+  bad.enter_object();
+  try {
+    bad.key();
+    FAIL() << "missing ':' accepted";
+  } catch (const CheckError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 5: expected ':'");
+  }
 }
 
 }  // namespace
