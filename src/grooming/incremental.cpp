@@ -35,6 +35,9 @@ IncrementalStats extend_plan_incremental(
     TGROOM_CHECK_MSG(pair.a >= 0 && pair.b < plan.ring_size &&
                          pair.a != pair.b,
                      "new demand outside the ring");
+  }
+  for (DemandPair pair : new_pairs) {
+    if (pair.a > pair.b) std::swap(pair.a, pair.b);
     // Cheapest feasible wavelength: fewest new SADMs, then lowest id.
     int best = -1;
     int best_cost = 3;
@@ -72,11 +75,8 @@ IncrementalResult add_demands_incremental(
     const GroomingPlan& plan, const std::vector<DemandPair>& new_pairs) {
   IncrementalResult result;
   result.plan = plan;
-  const IncrementalStats stats =
+  static_cast<IncrementalStats&>(result) =
       extend_plan_incremental(result.plan, new_pairs);
-  result.new_wavelengths = stats.new_wavelengths;
-  result.new_sadms = stats.new_sadms;
-  result.reused_sites = stats.reused_sites;
   return result;
 }
 

@@ -24,17 +24,18 @@ struct IncrementalStats {
                               // chosen wavelength
 };
 
-struct IncrementalResult {
+struct IncrementalResult : IncrementalStats {
   GroomingPlan plan;          // the extended plan
-  int new_wavelengths = 0;
-  int new_sadms = 0;
-  int reused_sites = 0;
 };
 
 /// Adds `new_pairs` to `plan` in place.  Existing assignments are never
 /// modified.  Each new pair goes to the feasible wavelength (free
 /// timeslot) that needs the fewest new SADMs, ties broken toward lower
 /// wavelength ids; a fresh wavelength is opened when nothing has slack.
+///
+/// Throws CheckError when a new pair is outside the ring; every pair is
+/// checked before the plan changes, so a failed extension leaves it
+/// unchanged.
 ///
 /// Deterministic and sequentially composable: extending by A then by B
 /// yields exactly the plan of extending by A+B in one call, which is

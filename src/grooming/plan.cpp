@@ -1,6 +1,7 @@
 #include "grooming/plan.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -40,12 +41,20 @@ GroomingPlan plan_from_partition(const DemandSet& demands,
 }
 
 long long plan_sadm_count(const GroomingPlan& plan) {
-  std::set<std::pair<int, NodeId>> sadms;
+  // Distinct (wavelength, node) sites, counted by sorting one flat key
+  // vector: several times faster than a node-based set on held plans of
+  // thousands of pairs, whose responses the service writes under its
+  // plans lock.
+  std::vector<std::uint64_t> sites;
+  sites.reserve(2 * plan.pairs.size());
   for (const GroomedPair& gp : plan.pairs) {
-    sadms.insert({gp.wavelength, gp.pair.a});
-    sadms.insert({gp.wavelength, gp.pair.b});
+    const std::uint64_t w =
+        std::uint64_t{static_cast<std::uint32_t>(gp.wavelength)} << 32;
+    sites.push_back(w | static_cast<std::uint32_t>(gp.pair.a));
+    sites.push_back(w | static_cast<std::uint32_t>(gp.pair.b));
   }
-  return static_cast<long long>(sadms.size());
+  std::sort(sites.begin(), sites.end());
+  return std::unique(sites.begin(), sites.end()) - sites.begin();
 }
 
 std::vector<int> plan_sadms_per_wavelength(const GroomingPlan& plan) {

@@ -112,43 +112,6 @@ void write_plan_json(JsonWriter& w, const GroomingPlan& plan) {
   w.end_object();
 }
 
-GroomingPlan plan_from_json(const JsonValue& v) {
-  TGROOM_CHECK_MSG(v.is_object(), "\"plan\" must be an object");
-  const JsonValue* ring_value = v.find("ring_size");
-  const JsonValue* k_value = v.find("k");
-  const JsonValue* pairs = v.find("pairs");
-  const std::int64_t ring = ring_value ? ring_value->as_int() : -1;
-  TGROOM_CHECK_MSG(ring >= 0, "plan.ring_size is required");
-  const std::int64_t k = k_value ? k_value->as_int() : -1;
-  TGROOM_CHECK_MSG(k >= 1, "plan.k must be >= 1");
-  TGROOM_CHECK_MSG(pairs != nullptr && pairs->is_array(),
-                   "plan.pairs (array) is required");
-  GroomingPlan plan;
-  plan.ring_size = static_cast<NodeId>(ring);
-  plan.grooming_factor = static_cast<int>(k);
-  plan.pairs.reserve(pairs->array.size());
-  for (const JsonValue& p : pairs->array) {
-    TGROOM_CHECK_MSG(p.is_array() && p.array.size() == 4,
-                     "plan pair must be [a,b,wavelength,timeslot]");
-    std::int64_t a = p.array[0].as_int();
-    std::int64_t b = p.array[1].as_int();
-    std::int64_t wavelength = p.array[2].as_int();
-    std::int64_t timeslot = p.array[3].as_int();
-    TGROOM_CHECK_MSG(a >= 0 && b >= 0 && a < ring && b < ring && a != b,
-                     "plan pair endpoints out of range");
-    TGROOM_CHECK_MSG(wavelength >= 0, "plan wavelength must be >= 0");
-    TGROOM_CHECK_MSG(timeslot >= 0 && timeslot < k,
-                     "plan timeslot out of range");
-    GroomedPair gp;
-    gp.pair = DemandPair{static_cast<NodeId>(std::min(a, b)),
-                         static_cast<NodeId>(std::max(a, b))};
-    gp.wavelength = static_cast<int>(wavelength);
-    gp.timeslot = static_cast<int>(timeslot);
-    plan.pairs.push_back(gp);
-  }
-  return plan;
-}
-
 void write_partition_json(JsonWriter& w, const EdgePartition& partition) {
   write_partition_json(w, partition.parts);
 }
@@ -164,16 +127,16 @@ void write_partition_json(JsonWriter& w,
   w.end_array();
 }
 
-void write_incremental_json(JsonWriter& w, const IncrementalResult& result,
-                            bool include_plan) {
-  w.kv("new_sadms", static_cast<long long>(result.new_sadms));
-  w.kv("new_wavelengths", static_cast<long long>(result.new_wavelengths));
-  w.kv("reused_sites", static_cast<long long>(result.reused_sites));
-  w.kv("sadms", plan_sadm_count(result.plan));
-  w.kv("wavelengths", static_cast<long long>(result.plan.wavelength_count()));
+void write_incremental_json(JsonWriter& w, const IncrementalStats& stats,
+                            const GroomingPlan& plan, bool include_plan) {
+  w.kv("new_sadms", static_cast<long long>(stats.new_sadms));
+  w.kv("new_wavelengths", static_cast<long long>(stats.new_wavelengths));
+  w.kv("reused_sites", static_cast<long long>(stats.reused_sites));
+  w.kv("sadms", plan_sadm_count(plan));
+  w.kv("wavelengths", static_cast<long long>(plan.wavelength_count()));
   if (include_plan) {
     w.key("plan");
-    write_plan_json(w, result.plan);
+    write_plan_json(w, plan);
   }
 }
 
@@ -466,11 +429,48 @@ bool bool_or(const Field& f, const char* name, bool fallback) {
   return f.boolean;
 }
 
+constexpr std::int64_t kMaxNodes = 50'000'000;
+constexpr std::int64_t kMaxK = 1'000'000;
+
+// The one bound set of an inline plan, shared by the request reader and
+// the replica's snapshot bootstrap: every value is range-checked as an
+// int64 before it is narrowed to the plan's int fields.  Wavelengths must
+// lie below the pair count — every plan the service hands out is dense
+// (release renumbers after each change), and the bound keeps a hostile
+// wavelength from sizing the per-wavelength indexes of a later extend.
+GroomingPlan checked_plan(std::int64_t ring, std::int64_t k,
+                          const std::vector<std::int64_t>& tuples) {
+  require(ring >= 0, "plan.ring_size is required");
+  require(ring <= kMaxNodes, "plan.ring_size must be in [0, 5e7]");
+  require(k >= 1, "plan.k must be >= 1");
+  require(k <= kMaxK, "plan.k must be in [1, 1e6]");
+  const auto count = static_cast<std::int64_t>(tuples.size() / 4);
+  GroomingPlan plan;
+  plan.ring_size = static_cast<NodeId>(ring);
+  plan.grooming_factor = static_cast<int>(k);
+  plan.pairs.reserve(tuples.size() / 4);
+  for (std::size_t i = 0; i + 4 <= tuples.size(); i += 4) {
+    const std::int64_t a = tuples[i], b = tuples[i + 1];
+    const std::int64_t wavelength = tuples[i + 2], timeslot = tuples[i + 3];
+    require(a >= 0 && b >= 0 && a < ring && b < ring && a != b,
+            "plan pair endpoints out of range");
+    require(wavelength >= 0, "plan wavelength must be >= 0");
+    require(wavelength < count,
+            "plan wavelength must be below the plan's pair count");
+    require(timeslot >= 0 && timeslot < k, "plan timeslot out of range");
+    plan.pairs.push_back(GroomedPair{
+        DemandPair{static_cast<NodeId>(std::min(a, b)),
+                   static_cast<NodeId>(std::max(a, b))},
+        static_cast<int>(wavelength), static_cast<int>(timeslot)});
+  }
+  return plan;
+}
+
 Graph build_graph(const NestedInput& g) {
   require(g.type == JsonValue::Type::kObject, "\"graph\" must be an object");
   require(g.fields[0].present, "graph.n is required");
   const std::int64_t n = as_int(g.fields[0]);
-  require(n >= 0 && n <= 50'000'000, "graph.n out of range");
+  require(n >= 0 && n <= kMaxNodes, "graph.n out of range");
   require(g.list.present && g.list.is_array,
           "graph.edges (array) is required");
   const std::vector<std::int64_t>& e = g.list.values;
@@ -515,24 +515,7 @@ GroomingPlan build_plan(const NestedInput& p) {
   const std::int64_t k =
       int_in(p.fields[1], "k", -1, 1, kMax, "plan.k must be >= 1");
   require(p.list.present && p.list.is_array, "plan.pairs (array) is required");
-  GroomingPlan plan;
-  plan.ring_size = static_cast<NodeId>(ring);
-  plan.grooming_factor = static_cast<int>(k);
-  const std::vector<std::int64_t>& t = p.list.values;
-  plan.pairs.reserve(t.size() / 4);
-  for (std::size_t i = 0; i < t.size(); i += 4) {
-    const std::int64_t a = t[i], b = t[i + 1];
-    require(a >= 0 && b >= 0 && a < ring && b < ring && a != b,
-            "plan pair endpoints out of range");
-    require(t[i + 2] >= 0, "plan wavelength must be >= 0");
-    require(t[i + 3] >= 0 && t[i + 3] < k, "plan timeslot out of range");
-    GroomedPair gp;
-    gp.pair = DemandPair{static_cast<NodeId>(std::min(a, b)),
-                         static_cast<NodeId>(std::max(a, b))};
-    gp.wavelength = static_cast<int>(t[i + 2]);
-    gp.timeslot = static_cast<int>(t[i + 3]);
-    plan.pairs.push_back(gp);
-  }
+  GroomingPlan plan = checked_plan(ring, k, p.list.values);
   if (p.list.error) reject(p.list.error);
   return plan;
 }
@@ -584,7 +567,7 @@ void check_request(const RequestInput& in, ServiceRequest& request) {
         request.algorithm = *id;
       }
       request.k = static_cast<int>(
-          int_in(in.k, "k", 16, 1, 1'000'000, "\"k\" must be in [1, 1e6]"));
+          int_in(in.k, "k", 16, 1, kMaxK, "\"k\" must be in [1, 1e6]"));
       request.seed = static_cast<std::uint64_t>(int_or(in.seed, "seed", 1));
       request.refine = bool_or(in.refine, "refine", false);
       request.smart_branches =
@@ -671,6 +654,24 @@ void check_request(const RequestInput& in, ServiceRequest& request) {
 }
 
 }  // namespace
+
+GroomingPlan plan_from_json(const JsonValue& v) {
+  require(v.is_object(), "\"plan\" must be an object");
+  const JsonValue* ring = v.find("ring_size");
+  const JsonValue* k = v.find("k");
+  const JsonValue* pairs = v.find("pairs");
+  require(pairs != nullptr && pairs->is_array(),
+          "plan.pairs (array) is required");
+  std::vector<std::int64_t> tuples;
+  tuples.reserve(pairs->array.size() * 4);
+  for (const JsonValue& p : pairs->array) {
+    require(p.is_array() && p.array.size() == 4,
+            "plan pair must be [a,b,wavelength,timeslot]");
+    for (const JsonValue& x : p.array) tuples.push_back(x.as_int());
+  }
+  return checked_plan(ring ? ring->as_int() : -1, k ? k->as_int() : -1,
+                      tuples);
+}
 
 RequestParse parse_request(std::string_view line) {
   RequestParse out;

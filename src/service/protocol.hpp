@@ -226,8 +226,15 @@ void write_partition_json(JsonWriter& w,
 
 /// Emits the incremental-provisioning payload keys into an open object:
 /// new_sadms/new_wavelengths/reused_sites/sadms/wavelengths[, plan].
-void write_incremental_json(JsonWriter& w, const IncrementalResult& result,
-                            bool include_plan);
+/// `plan` is the extended plan.
+void write_incremental_json(JsonWriter& w, const IncrementalStats& stats,
+                            const GroomingPlan& plan, bool include_plan);
+/// Same, for add_demands_incremental's copying result.
+inline void write_incremental_json(JsonWriter& w,
+                                   const IncrementalResult& result,
+                                   bool include_plan) {
+  write_incremental_json(w, result, result.plan, include_plan);
+}
 
 /// Emits the release payload keys into an open object:
 /// released/repair_moves/freed_wavelengths/sadms_removed/remaining/

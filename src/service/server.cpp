@@ -47,7 +47,7 @@ std::atomic<bool>& GroomingService::stop_flag() {
 
 std::size_t GroomingService::held_plan_count() const {
   std::lock_guard<std::mutex> lock(plans_mutex_);
-  return plans_.size();
+  return plans_.plans.size();
 }
 
 void GroomingService::open_store() {
@@ -60,8 +60,8 @@ void GroomingService::open_store() {
   RecoveredState state = store->take_recovered();
   {
     std::lock_guard<std::mutex> lock(plans_mutex_);
-    plans_ = std::move(state.plans);
-    next_plan_id_ = std::max(next_plan_id_, state.next_plan_id);
+    plans_.plans = std::move(state.plans);
+    plans_.next_plan_id = std::max(plans_.next_plan_id, state.next_plan_id);
   }
   if (config_.prewarm_cache) {
     for (PrewarmEntry& entry : state.prewarm) {
@@ -81,13 +81,8 @@ void GroomingService::snapshot_store(bool force) {
     // Appends happen under plans_mutex_ too, so last_seq taken here is
     // exactly the sequence number covering this copy of the table.
     std::lock_guard<std::mutex> lock(plans_mutex_);
-    snap.last_seq = store->last_seq();
-    snap.next_plan_id = next_plan_id_;
-    snap.plans.reserve(plans_.size());
-    for (const auto& [id, plan] : plans_) snap.plans.emplace_back(id, plan);
+    snap = plans_.snapshot(store->last_seq());
   }
-  std::sort(snap.plans.begin(), snap.plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   if (store->write_snapshot(snap)) {
     metrics_.increment(ServiceMetrics::Counter::kStoreSnapshots);
   }
@@ -236,6 +231,9 @@ void GroomingService::handle_groom(ServiceRequest& request,
   if (deadline_expired(request)) return deadline_response(request, w);
 
   std::int64_t held_id = -1;
+  const std::shared_ptr<DurableStore> store =
+      request.hold ? store_ref() : nullptr;
+  std::uint64_t seq = 0;
   if (request.hold) {
     EdgePartition partition;
     partition.k = request.k;
@@ -243,23 +241,13 @@ void GroomingService::handle_groom(ServiceRequest& request,
     GroomingPlan plan = plan_from_partition(
         DemandSet::from_traffic_graph(request.graph), request.graph,
         partition);
-    const std::shared_ptr<DurableStore> store = store_ref();
-    std::uint64_t seq = 0;
-    {
-      std::lock_guard<std::mutex> lock(plans_mutex_);
-      held_id = next_plan_id_++;
-      auto [it, inserted] = plans_.emplace(held_id, std::move(plan));
-      (void)inserted;
-      if (store != nullptr) {
-        // Append before ack, under the table lock so WAL order equals
-        // table order; the fsync (sync below) happens off the lock.
-        seq = store->append_hold(held_id, it->second, key, *value);
-      }
-    }
-    if (store != nullptr && seq != 0) {
-      metrics_.increment(ServiceMetrics::Counter::kStoreAppends);
-      store->sync(seq);
-      snapshot_store(false);
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    held_id = plans_.next_plan_id;
+    const GroomingPlan& held = plans_.hold(held_id, std::move(plan));
+    if (store != nullptr) {
+      // Append before ack, under the table lock so WAL order equals
+      // table order; the fsync (finish_mutation) happens off the lock.
+      seq = store->append_hold(held_id, held, key, *value);
     }
   }
 
@@ -276,124 +264,98 @@ void GroomingService::handle_groom(ServiceRequest& request,
     write_partition_json(w, value->parts);
   }
   w.end_object();
-  metrics_.increment(ServiceMetrics::Counter::kOk);
+  finish_mutation(store, seq);
 }
 
 void GroomingService::handle_provision(ServiceRequest& request,
                                        JsonWriter& w) {
   if (deadline_expired(request)) return deadline_response(request, w);
 
-  IncrementalResult result;
   const std::shared_ptr<DurableStore> store = store_ref();
   std::uint64_t seq = 0;
   try {
-    if (request.plan.has_value()) {
-      // Stateless mode mutates no server state, so nothing is logged.
-      result = add_demands_incremental(*request.plan, request.add);
+    // A held plan is extended in place and read for the response under
+    // the table lock; an inline plan is the request's own, and extending
+    // it mutates no server state, so nothing is logged.
+    std::unique_lock<std::mutex> lock(plans_mutex_, std::defer_lock);
+    GroomingPlan* plan = request.plan ? &*request.plan : nullptr;
+    IncrementalStats stats;
+    if (plan != nullptr) {
+      stats = extend_plan_incremental(*plan, request.add);
     } else {
-      std::lock_guard<std::mutex> lock(plans_mutex_);
-      auto it = plans_.find(request.plan_id);
-      if (it == plans_.end()) {
-        metrics_.increment(ServiceMetrics::Counter::kError);
-        return write_error_response(
-            w, request.id, request.has_id, ServiceError::kBadRequest,
-            "unknown plan_id " + std::to_string(request.plan_id));
-      }
-      result = add_demands_incremental(it->second, request.add);
-      it->second = result.plan;
+      lock.lock();
+      stats = plans_.provision(request.plan_id, request.add);
+      plan = &plans_.at(request.plan_id);
+      // The WAL logs the *input* pairs; replay recomputes the same
+      // placement deterministically (PlanTable::apply).
       if (store != nullptr) {
-        // The WAL logs the *input* pairs; replay recomputes the same
-        // placement deterministically (extend_plan_incremental).
         seq = store->append_provision(request.plan_id, request.add);
       }
     }
+    begin_ok_response(w, request.id, request.has_id, ServiceOp::kProvision);
+    if (request.plan_id >= 0) {
+      w.kv("plan_id", static_cast<long long>(request.plan_id));
+    }
+    w.kv("added", static_cast<long long>(request.add.size()));
+    write_incremental_json(w, stats, *plan, request.include_plan);
+    w.end_object();
   } catch (const CheckError& e) {
     metrics_.increment(ServiceMetrics::Counter::kError);
     return write_error_response(w, request.id, request.has_id,
                                 ServiceError::kBadRequest, e.what());
   }
-  if (store != nullptr && seq != 0) {
-    metrics_.increment(ServiceMetrics::Counter::kStoreAppends);
-    store->sync(seq);
-    snapshot_store(false);
-  }
-
-  begin_ok_response(w, request.id, request.has_id, ServiceOp::kProvision);
-  if (request.plan_id >= 0) {
-    w.kv("plan_id", static_cast<long long>(request.plan_id));
-  }
-  w.kv("added", static_cast<long long>(request.add.size()));
-  write_incremental_json(w, result, request.include_plan);
-  w.end_object();
-  metrics_.increment(ServiceMetrics::Counter::kOk);
+  finish_mutation(store, seq);
 }
 
 void GroomingService::handle_release(ServiceRequest& request,
                                      JsonWriter& w) {
   if (deadline_expired(request)) return deadline_response(request, w);
 
-  ReleaseStats stats;
-  GroomingPlan residual;
-  bool dropped = false;
+  static const GroomingPlan kDropped;
   const std::shared_ptr<DurableStore> store = store_ref();
   std::uint64_t seq = 0;
   try {
-    if (request.plan.has_value()) {
-      // Stateless mode mutates no server state, so nothing is logged.
-      residual = std::move(*request.plan);
-      stats = release_demands(residual, request.remove, request.repair);
+    // Same shape as handle_provision: a held plan changes in place under
+    // the table lock, an inline one is the request's own.
+    std::unique_lock<std::mutex> lock(plans_mutex_, std::defer_lock);
+    const GroomingPlan* residual = request.plan ? &*request.plan : nullptr;
+    ReleaseStats stats;
+    if (residual != nullptr) {
+      stats = release_demands(*request.plan, request.remove, request.repair);
     } else {
-      std::lock_guard<std::mutex> lock(plans_mutex_);
-      auto it = plans_.find(request.plan_id);
-      if (it == plans_.end()) {
-        metrics_.increment(ServiceMetrics::Counter::kError);
-        return write_error_response(
-            w, request.id, request.has_id, ServiceError::kBadRequest,
-            "unknown plan_id " + std::to_string(request.plan_id));
-      }
-      if (request.release_all) {
-        residual = GroomingPlan{it->second.ring_size,
-                                it->second.grooming_factor, {}};
-        stats.released = static_cast<int>(it->second.pairs.size());
-        stats.sadms_removed = plan_sadm_count(it->second);
-        stats.freed_wavelengths = it->second.wavelength_count();
-        plans_.erase(it);
-        dropped = true;
-      } else {
-        // Release on a copy first: a bad pair must not leave the held
-        // plan (or the WAL) half-mutated.
-        GroomingPlan updated = it->second;
-        stats = release_demands(updated, request.remove, request.repair);
-        it->second = updated;
-        residual = std::move(updated);
-      }
+      lock.lock();
+      stats = plans_.release(request.plan_id, request.remove,
+                             request.release_all, request.repair);
+      residual = request.release_all ? &kDropped : &plans_.at(request.plan_id);
       if (store != nullptr) {
-        // Append before ack, under the table lock so WAL order equals
-        // table order; the fsync (sync below) happens off the lock.
         seq = store->append_release(request.plan_id, request.remove,
                                     request.release_all, request.repair);
       }
     }
+    begin_ok_response(w, request.id, request.has_id, ServiceOp::kRelease);
+    if (request.plan_id >= 0) {
+      w.kv("plan_id", static_cast<long long>(request.plan_id));
+    }
+    if (request.release_all) w.kv("dropped", true);
+    // A dropped plan never echoes back, whatever include_plan says.
+    write_release_json(w, stats, *residual,
+                       request.include_plan && !request.release_all);
+    w.end_object();
   } catch (const CheckError& e) {
     metrics_.increment(ServiceMetrics::Counter::kError);
     return write_error_response(w, request.id, request.has_id,
                                 ServiceError::kBadRequest, e.what());
   }
-  if (store != nullptr && seq != 0) {
+  finish_mutation(store, seq);
+}
+
+void GroomingService::finish_mutation(
+    const std::shared_ptr<DurableStore>& store, std::uint64_t seq) {
+  if (seq != 0) {
     metrics_.increment(ServiceMetrics::Counter::kStoreAppends);
     store->sync(seq);
     snapshot_store(false);
   }
-
-  begin_ok_response(w, request.id, request.has_id, ServiceOp::kRelease);
-  if (request.plan_id >= 0) {
-    w.kv("plan_id", static_cast<long long>(request.plan_id));
-  }
-  if (request.release_all) w.kv("dropped", dropped);
-  // A dropped plan never echoes back, whatever include_plan says.
-  write_release_json(w, stats, residual,
-                     request.include_plan && !dropped);
-  w.end_object();
   metrics_.increment(ServiceMetrics::Counter::kOk);
 }
 
@@ -436,23 +398,7 @@ void GroomingService::handle_stats(const ServiceRequest& request,
       replica_link_->write_status_json(w);
     }
   } else {
-    w.kv("acked_seq", repl_acked_seq_.load(std::memory_order_relaxed));
-    std::vector<std::pair<std::string, std::uint64_t>> acks;
-    {
-      std::lock_guard<std::mutex> lock(repl_acks_mutex_);
-      acks = repl_follower_acks_;
-    }
-    std::sort(acks.begin(), acks.end());
-    const std::uint64_t last_seq = applied_seq();
-    w.key("replicas").begin_array();
-    for (const auto& [follower, acked] : acks) {
-      w.begin_object();
-      w.kv("follower", follower);
-      w.kv("acked_seq", acked);
-      w.kv("lag", last_seq > acked ? last_seq - acked : 0);
-      w.end_object();
-    }
-    w.end_array();
+    write_follower_acks(w, applied_seq());
   }
   w.end_object();
   w.key("metrics");
@@ -463,6 +409,29 @@ void GroomingService::handle_stats(const ServiceRequest& request,
   }
   w.end_object();
   metrics_.increment(ServiceMetrics::Counter::kOk);
+}
+
+void GroomingService::write_follower_acks(JsonWriter& w,
+                                          std::uint64_t last_seq) const {
+  // Primary-side replication lag, per connected follower: acked_seq is
+  // the follower's last piggybacked ack, lag its distance from this
+  // node's WAL head.  Sorted by follower id so the output is stable.
+  w.kv("acked_seq", repl_acked_seq_.load(std::memory_order_relaxed));
+  std::vector<std::pair<std::string, std::uint64_t>> acks;
+  {
+    std::lock_guard<std::mutex> lock(repl_acks_mutex_);
+    acks = repl_follower_acks_;
+  }
+  std::sort(acks.begin(), acks.end());
+  w.key("replicas").begin_array();
+  for (const auto& [follower, acked] : acks) {
+    w.begin_object();
+    w.kv("follower", follower);
+    w.kv("acked_seq", acked);
+    w.kv("lag", last_seq > acked ? last_seq - acked : 0);
+    w.end_object();
+  }
+  w.end_array();
 }
 
 bool GroomingService::is_mutating(const ServiceRequest& request) {
@@ -523,25 +492,7 @@ void GroomingService::handle_health(const ServiceRequest& request,
       w.kv("lag", primary_last > applied ? primary_last - applied : 0);
     }
   } else {
-    // Primary-side replication lag, per connected follower: acked_seq is
-    // the follower's last piggybacked ack, lag its distance from this
-    // node's WAL head.  Sorted by follower id so the output is stable.
-    w.kv("acked_seq", repl_acked_seq_.load(std::memory_order_relaxed));
-    std::vector<std::pair<std::string, std::uint64_t>> acks;
-    {
-      std::lock_guard<std::mutex> lock(repl_acks_mutex_);
-      acks = repl_follower_acks_;
-    }
-    std::sort(acks.begin(), acks.end());
-    w.key("replicas").begin_array();
-    for (const auto& [follower, acked] : acks) {
-      w.begin_object();
-      w.kv("follower", follower);
-      w.kv("acked_seq", acked);
-      w.kv("lag", last_seq > acked ? last_seq - acked : 0);
-      w.end_object();
-    }
-    w.end_array();
+    write_follower_acks(w, last_seq);
   }
   w.kv("uptime_s",
        static_cast<long long>(std::chrono::duration_cast<std::chrono::seconds>(
@@ -756,13 +707,8 @@ void GroomingService::handle_repl_snapshot(const ServiceRequest& request,
     // Same invariant as snapshot_store: appends happen under
     // plans_mutex_, so last_seq taken here covers exactly this table.
     std::lock_guard<std::mutex> lock(plans_mutex_);
-    snap.last_seq = store->last_seq();
-    snap.next_plan_id = next_plan_id_;
-    snap.plans.reserve(plans_.size());
-    for (const auto& [id, plan] : plans_) snap.plans.emplace_back(id, plan);
+    snap = plans_.snapshot(store->last_seq());
   }
-  std::sort(snap.plans.begin(), snap.plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   begin_ok_response(w, request.id, request.has_id, ServiceOp::kReplSnapshot);
   w.kv("last_seq", snap.last_seq);
   w.kv("next_plan_id", static_cast<long long>(snap.next_plan_id));
@@ -781,8 +727,7 @@ void GroomingService::apply_replication_record(std::uint64_t seq,
                                                WalRecordType type,
                                                std::string_view body) {
   DecodedWalRecord rec = decode_wal_record(seq, type, body);
-  if (rec.type == WalRecordType::kHoldPlan && rec.has_cache_entry &&
-      config_.prewarm_cache) {
+  if (rec.has_cache_entry && config_.prewarm_cache) {
     cache_.put(rec.cache_key, std::make_shared<const GroomCacheValue>(
                                   std::move(rec.cache_value)));
   }
@@ -797,33 +742,7 @@ void GroomingService::apply_replication_record(std::uint64_t seq,
                      "replication stream gap: shipped seq " +
                          std::to_string(seq) + ", expected " +
                          std::to_string(expected));
-    switch (rec.type) {
-      case WalRecordType::kHoldPlan: {
-        plans_[rec.plan_id] = std::move(rec.plan);
-        next_plan_id_ = std::max(next_plan_id_, rec.plan_id + 1);
-        break;
-      }
-      case WalRecordType::kProvision: {
-        auto it = plans_.find(rec.plan_id);
-        TGROOM_CHECK_MSG(it != plans_.end(),
-                         "replicated provision for unknown plan " +
-                             std::to_string(rec.plan_id));
-        extend_plan_incremental(it->second, rec.pairs);
-        break;
-      }
-      case WalRecordType::kRelease: {
-        auto it = plans_.find(rec.plan_id);
-        TGROOM_CHECK_MSG(it != plans_.end(),
-                         "replicated release for unknown plan " +
-                             std::to_string(rec.plan_id));
-        if (rec.drop_all) {
-          plans_.erase(it);
-        } else {
-          release_demands(it->second, rec.pairs, rec.repair);
-        }
-        break;
-      }
-    }
+    plans_.apply(rec);
     // Persist the primary's exact bytes before reporting the seq applied
     // (append under the table lock, fsync off it — the same append-
     // before-ack discipline as the primary's own mutations).
@@ -871,10 +790,7 @@ void GroomingService::install_replication_snapshot(const SnapshotData& snap) {
     std::lock_guard<std::mutex> plock(store_ptr_mutex_);
     store_ = std::move(fresh);
   }
-  plans_.clear();
-  plans_.reserve(snap.plans.size());
-  for (const auto& [id, plan] : snap.plans) plans_[id] = plan;
-  next_plan_id_ = snap.next_plan_id;
+  plans_.load(snap);
 }
 
 int GroomingService::run(std::istream& in, std::ostream& out) {

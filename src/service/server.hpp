@@ -233,8 +233,16 @@ class GroomingService : public EventLoopHandler {
   void handle_repl_fetch(const ServiceRequest& request, JsonWriter& w);
   void handle_repl_snapshot(const ServiceRequest& request, JsonWriter& w);
   void write_cache_stats(JsonWriter& w) const;
+  /// The primary's acked_seq and per-follower replicas array (stats and
+  /// health), lag measured against `last_seq`.
+  void write_follower_acks(JsonWriter& w, std::uint64_t last_seq) const;
   bool deadline_expired(const ServiceRequest& request) const;
   void deadline_response(const ServiceRequest& request, JsonWriter& w);
+  /// The ok tail of groom, provision and release, after the plans lock
+  /// is released: syncs WAL record `seq` (0 = nothing appended),
+  /// snapshots when one is due, and counts the request ok.
+  void finish_mutation(const std::shared_ptr<DurableStore>& store,
+                       std::uint64_t seq);
   /// Snapshots the held-plan table into the store; with `force` false
   /// only when the store says one is due.
   void snapshot_store(bool force);
@@ -251,13 +259,12 @@ class GroomingService : public EventLoopHandler {
   ServiceConfig config_;
   PlanCache cache_;
   ServiceMetrics metrics_;
-  mutable std::mutex plans_mutex_;  // guards plans_ and next_plan_id_;
-                                    // held across a held-plan provision so
-                                    // concurrent provisions serialize, and
+  mutable std::mutex plans_mutex_;  // guards plans_; held across each
+                                    // held-plan mutation so they serialize,
                                     // across the matching WAL append so log
-                                    // order equals table order
-  std::unordered_map<std::int64_t, GroomingPlan> plans_;
-  std::int64_t next_plan_id_ = 1;
+                                    // order equals table order, and while
+                                    // the response reads the held plan
+  PlanTable plans_;
   mutable std::mutex store_ptr_mutex_;  // guards the store_ pointer itself
                                         // (not the store's contents)
   std::shared_ptr<DurableStore> store_;  // read via store_ref()

@@ -3,65 +3,14 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "grooming/incremental.hpp"
-#include "grooming/repair.hpp"
-
 namespace tgroom {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-void apply_record(RecoveredState& state, std::uint64_t seq,
-                  WalRecordType type, std::string_view body) {
-  DecodedWalRecord rec = decode_wal_record(seq, type, body);
-  switch (rec.type) {
-    case WalRecordType::kHoldPlan: {
-      if (rec.has_cache_entry) {
-        state.prewarm.push_back(PrewarmEntry{
-            rec.cache_key, std::make_shared<const GroomCacheValue>(
-                               std::move(rec.cache_value))});
-      }
-      state.plans[rec.plan_id] = std::move(rec.plan);
-      state.next_plan_id = std::max(state.next_plan_id, rec.plan_id + 1);
-      break;
-    }
-    case WalRecordType::kProvision: {
-      auto it = state.plans.find(rec.plan_id);
-      if (it == state.plans.end()) {
-        throw StoreCorruptError(
-            "WAL record " + std::to_string(seq) +
-            " provisions unknown plan " + std::to_string(rec.plan_id));
-      }
-      // Deterministic recomputation — replaying the added pairs through
-      // the same placement logic reproduces the live table exactly.
-      extend_plan_incremental(it->second, rec.pairs);
-      break;
-    }
-    case WalRecordType::kRelease: {
-      auto it = state.plans.find(rec.plan_id);
-      if (it == state.plans.end()) {
-        throw StoreCorruptError(
-            "WAL record " + std::to_string(seq) +
-            " releases unknown plan " + std::to_string(rec.plan_id));
-      }
-      if (rec.drop_all) {
-        state.plans.erase(it);
-      } else {
-        // Same deterministic-replay contract as provisions: the record
-        // logs the released pairs, release_demands recomputes the repair.
-        release_demands(it->second, rec.pairs, rec.repair);
-      }
-      break;
-    }
-  }
-}
-
-}  // namespace
-
 DecodedWalRecord decode_wal_record(std::uint64_t seq, WalRecordType type,
                                    std::string_view body) {
   DecodedWalRecord rec;
+  rec.seq = seq;
   rec.type = type;
   ByteReader r(body);
   switch (type) {
@@ -93,6 +42,73 @@ DecodedWalRecord decode_wal_record(std::uint64_t seq, WalRecordType type,
                             " has trailing bytes");
   }
   return rec;
+}
+
+const GroomingPlan& PlanTable::hold(std::int64_t id, GroomingPlan plan) {
+  GroomingPlan& held = plans[id] = std::move(plan);
+  next_plan_id = std::max(next_plan_id, id + 1);
+  return held;
+}
+
+IncrementalStats PlanTable::provision(std::int64_t id,
+                                      const std::vector<DemandPair>& pairs) {
+  return extend_plan_incremental(at(id), pairs);
+}
+
+ReleaseStats PlanTable::release(std::int64_t id,
+                                const std::vector<DemandPair>& pairs,
+                                bool all, bool repair) {
+  GroomingPlan& plan = at(id);
+  if (!all) return release_demands(plan, pairs, repair);
+  ReleaseStats stats;
+  stats.released = static_cast<int>(plan.pairs.size());
+  stats.sadms_removed = plan_sadm_count(plan);
+  stats.freed_wavelengths = plan.wavelength_count();
+  plans.erase(id);
+  return stats;
+}
+
+GroomingPlan& PlanTable::at(std::int64_t id) {
+  const auto it = plans.find(id);
+  if (it == plans.end()) {
+    throw CheckError("unknown plan_id " + std::to_string(id));
+  }
+  return it->second;
+}
+
+void PlanTable::apply(const DecodedWalRecord& rec) {
+  // A provision or release record logs the request's input pairs; the
+  // same deterministic placement and repair the live service ran
+  // reproduce its table.
+  if (rec.type == WalRecordType::kHoldPlan) {
+    hold(rec.plan_id, rec.plan);
+  } else if (plans.count(rec.plan_id) == 0) {
+    throw StoreCorruptError(
+        "WAL record " + std::to_string(rec.seq) +
+        (rec.type == WalRecordType::kProvision ? " provisions" : " releases") +
+        " unknown plan " + std::to_string(rec.plan_id));
+  } else if (rec.type == WalRecordType::kProvision) {
+    provision(rec.plan_id, rec.pairs);
+  } else {
+    release(rec.plan_id, rec.pairs, rec.drop_all, rec.repair);
+  }
+}
+
+SnapshotData PlanTable::snapshot(std::uint64_t last_seq) const {
+  SnapshotData snap;
+  snap.last_seq = last_seq;
+  snap.next_plan_id = next_plan_id;
+  snap.plans.assign(plans.begin(), plans.end());
+  std::sort(snap.plans.begin(), snap.plans.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return snap;
+}
+
+void PlanTable::load(SnapshotData snap) {
+  plans.clear();
+  plans.reserve(snap.plans.size());
+  for (auto& [id, plan] : snap.plans) plans.emplace(id, std::move(plan));
+  next_plan_id = snap.next_plan_id;
 }
 
 void write_store_meta(const std::string& dir, FsyncPolicy fsync) {
@@ -138,11 +154,7 @@ RecoveredState recover_store_state(const std::string& dir,
     rec.snapshot_loaded = true;
     rec.snapshot_seq = snap->last_seq;
     after_seq = snap->last_seq;
-    state.next_plan_id = snap->next_plan_id;
-    state.plans.reserve(snap->plans.size());
-    for (auto& [id, plan] : snap->plans) {
-      state.plans[id] = std::move(plan);
-    }
+    state.load(std::move(*snap));
   }
   const WalReplayStats stats = replay_wal(
       dir, after_seq,
@@ -153,7 +165,13 @@ RecoveredState recover_store_state(const std::string& dir,
           case WalRecordType::kProvision: ++rec.provision_records; break;
           case WalRecordType::kRelease: ++rec.release_records; break;
         }
-        apply_record(state, seq, type, body);
+        DecodedWalRecord record = decode_wal_record(seq, type, body);
+        if (record.has_cache_entry) {
+          state.prewarm.push_back(PrewarmEntry{
+              record.cache_key, std::make_shared<const GroomCacheValue>(
+                                    std::move(record.cache_value))});
+        }
+        state.apply(record);
       },
       repair);
   rec.wal_segments = stats.segments;

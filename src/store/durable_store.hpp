@@ -1,5 +1,6 @@
 // Durable state store for the grooming service: recovery + WAL +
-// snapshots + compaction behind one object.
+// snapshots + compaction behind one object, and PlanTable, the held-plan
+// table every mutation path changes.
 //
 // Lifecycle:
 //   1. Construction recovers: load the newest valid snapshot, replay the
@@ -7,17 +8,19 @@
 //      The recovered held-plan table, next plan id, and cache-prewarm
 //      entries are handed to the service via take_recovered().
 //   2. The service appends a record for every mutation (hold /
-//      provision) *before* acking the request, then sync()s it under
-//      the configured fsync policy.
+//      provision / release) *before* acking the request, then sync()s it
+//      under the configured fsync policy.
 //   3. Every `snapshot_every` records the service snapshots its table;
 //      write_snapshot() persists it atomically and then compacts: older
 //      snapshots and WAL segments wholly covered by the new snapshot
 //      are deleted (never the active segment).
 //
-// Mutation replay recomputes provisions through
-// extend_plan_incremental, which is deterministic and sequentially
-// composable — so a recovered table is byte-identical to the live table
-// the crashed process held (for every acked-durable mutation).
+// Replay feeds each record to PlanTable::apply, the same operations the
+// live service runs: provisions are recomputed through
+// extend_plan_incremental and releases through release_demands, both
+// deterministic and sequentially composable — so a recovered table is
+// byte-identical to the live table the crashed process held (for every
+// acked-durable mutation).
 #pragma once
 
 #include <atomic>
@@ -28,7 +31,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "grooming/incremental.hpp"
 #include "grooming/plan.hpp"
+#include "grooming/repair.hpp"
 #include "service/cache.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -71,24 +76,12 @@ struct PrewarmEntry {
   std::shared_ptr<const GroomCacheValue> value;
 };
 
-struct RecoveredState {
-  std::unordered_map<std::int64_t, GroomingPlan> plans;
-  std::int64_t next_plan_id = 1;
-  std::vector<PrewarmEntry> prewarm;
-};
-
-/// Pure recovery: snapshot load + WAL replay, no writer opened.  With
-/// `repair` false the store directory is left byte-untouched (a torn
-/// tail still stops replay, it just isn't truncated) — `tgroom
-/// store-dump` uses that to inspect a live or dead store read-only.
-RecoveredState recover_store_state(const std::string& dir,
-                                   StoreRecovery* recovery, bool repair);
-
 /// One WAL record decoded but not yet applied.  The replication follower
 /// decodes each shipped record once, applies it to the live held-plan
 /// table under the service's plans lock, and persists the original bytes
 /// verbatim via DurableStore::append_raw — so replica WAL == primary WAL.
 struct DecodedWalRecord {
+  std::uint64_t seq = 0;
   WalRecordType type = WalRecordType::kHoldPlan;
   std::int64_t plan_id = 0;
   GroomingPlan plan;             // kHoldPlan
@@ -104,6 +97,52 @@ struct DecodedWalRecord {
 /// StoreCorruptError on trailing bytes, like recovery replay does.
 DecodedWalRecord decode_wal_record(std::uint64_t seq, WalRecordType type,
                                    std::string_view body);
+
+/// The held-plan table: plans by id plus the next id to hand out.  The
+/// service's live mutations, recovery replay and replica apply all change
+/// it through hold / provision / release, in place; apply() is the only
+/// code that turns a WAL record into a table change.  A mutation that
+/// throws leaves the table unchanged.
+struct PlanTable {
+  std::unordered_map<std::int64_t, GroomingPlan> plans;
+  std::int64_t next_plan_id = 1;
+
+  /// Holds `plan` under `id` (replacing any plan there) and moves
+  /// next_plan_id past it.  The primary passes next_plan_id.
+  const GroomingPlan& hold(std::int64_t id, GroomingPlan plan);
+  /// Extends plan `id` by `pairs` (extend_plan_incremental).
+  IncrementalStats provision(std::int64_t id,
+                             const std::vector<DemandPair>& pairs);
+  /// Releases `pairs` from plan `id` (release_demands); with `all` the
+  /// plan leaves the table and the stats describe what it held.
+  ReleaseStats release(std::int64_t id, const std::vector<DemandPair>& pairs,
+                       bool all, bool repair);
+  /// Plan `id`; throws CheckError "unknown plan_id N" when absent — the
+  /// primary's bad_request text.
+  GroomingPlan& at(std::int64_t id);
+
+  /// Applies one WAL record.  A provision or release of an absent plan
+  /// throws StoreCorruptError: the log itself is inconsistent.
+  void apply(const DecodedWalRecord& rec);
+
+  /// The table as of WAL seq `last_seq`, plans sorted by id.
+  SnapshotData snapshot(std::uint64_t last_seq) const;
+  /// Replaces the table with the snapshot's content.
+  void load(SnapshotData snap);
+};
+
+/// What recovery rebuilt: the held-plan table (`plans`, `next_plan_id`)
+/// plus the groom-cache entries to prewarm.
+struct RecoveredState : PlanTable {
+  std::vector<PrewarmEntry> prewarm;
+};
+
+/// Pure recovery: snapshot load + WAL replay, no writer opened.  With
+/// `repair` false the store directory is left byte-untouched (a torn
+/// tail still stops replay, it just isn't truncated) — `tgroom
+/// store-dump` uses that to inspect a live or dead store read-only.
+RecoveredState recover_store_state(const std::string& dir,
+                                   StoreRecovery* recovery, bool repair);
 
 /// Best-effort sidecar (`store-meta.json`) recording the active fsync
 /// policy of the most recent writer; `store-dump` reports it without a

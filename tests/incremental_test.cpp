@@ -119,6 +119,17 @@ TEST(Incremental, RejectsBadDemand) {
   EXPECT_THROW(add_demands_incremental(plan, {DemandPair{2, 2}}), CheckError);
 }
 
+TEST(Incremental, BadPairLeavesThePlanUnchanged) {
+  // Every new pair is checked before the first one is placed: a rejected
+  // extension must not leave {0,6} appended ahead of the bad {3,99}.
+  GroomingPlan plan = base_plan(12, 0.4, 4, 1);
+  const std::string before = serialize_plan(plan);
+  EXPECT_THROW(extend_plan_incremental(plan, {DemandPair{0, 6},
+                                              DemandPair{3, 99}}),
+               CheckError);
+  EXPECT_EQ(serialize_plan(plan), before);
+}
+
 TEST(Incremental, NoNewDemandsIsIdentity) {
   GroomingPlan plan = base_plan(10, 0.4, 3, 5);
   IncrementalResult r = add_demands_incremental(plan, {});
@@ -128,9 +139,9 @@ TEST(Incremental, NoNewDemandsIsIdentity) {
 }
 
 TEST(Incremental, ExtendInPlaceMatchesCopyingWrapper) {
-  // The WAL replay path uses extend_plan_incremental directly; the
-  // service's live path goes through add_demands_incremental.  Both must
-  // produce the same plan or recovery diverges from the acked state.
+  // The service, WAL replay and replicas extend held plans in place
+  // (PlanTable::provision); the CLI and benchmarks use the copying
+  // wrapper.  Both must produce the same plan and stats.
   GroomingPlan in_place = base_plan(12, 0.4, 4, 9);
   const std::vector<DemandPair> add = {DemandPair{0, 6}, DemandPair{2, 9},
                                        DemandPair{1, 7}};

@@ -381,6 +381,46 @@ TEST(Protocol, GraphAndPlanRoundTrip) {
   EXPECT_EQ(serialize_plan(plan), serialize_plan(plan_back));
 }
 
+// Inline plans whose int64 values do not fit the plan's int fields, or
+// whose wavelength would size per-wavelength indexes: each once crashed
+// or silently wrapped in the request reader.
+const char* const kOutOfRangePlans[] = {
+    R"({"ring_size":6,"k":4,"pairs":[[0,1,4294967295,0]]})",
+    R"({"ring_size":6,"k":4,"pairs":[[0,1,2147483647,0]]})",
+    R"({"ring_size":6,"k":4,"pairs":[[0,1,100000000,0]]})",
+    R"({"ring_size":4294967302,"k":4294967300,"pairs":[[0,1,0,0]]})",
+};
+
+TEST(Protocol, BothPlanReadersShareOneBoundSet) {
+  // The request reader and the replica bootstrap's plan_from_json reject
+  // the same plans with the same text.
+  for (const char* plan : kOutOfRangePlans) {
+    const RequestParse parsed = parse_request(
+        std::string(R"({"op":"provision","plan":)") + plan +
+        R"(,"add":[[1,4]]})");
+    ASSERT_FALSE(parsed.request.has_value()) << plan;
+    try {
+      plan_from_json(parse_json(plan));
+      ADD_FAILURE() << "plan_from_json accepted " << plan;
+    } catch (const CheckError& e) {
+      EXPECT_EQ(e.what(), parsed.error) << plan;
+    }
+  }
+  // The bounds themselves: ring_size <= 5e7, k <= 1e6, wavelength below
+  // the pair count, all inclusive of the edge values.
+  EXPECT_NO_THROW(plan_from_json(parse_json(
+      R"({"ring_size":50000000,"k":1000000,"pairs":[[0,1,1,0],[1,2,0,5]]})")));
+  EXPECT_THROW(plan_from_json(parse_json(
+                   R"({"ring_size":50000001,"k":4,"pairs":[]})")),
+               CheckError);
+  EXPECT_THROW(plan_from_json(parse_json(
+                   R"({"ring_size":6,"k":1000001,"pairs":[]})")),
+               CheckError);
+  EXPECT_THROW(plan_from_json(parse_json(
+                   R"({"ring_size":6,"k":4,"pairs":[[0,1,2,0],[1,2,0,1]]})")),
+               CheckError);
+}
+
 // ------------------------------------------------------- service sessions
 
 TEST(Service, GroomMatchesDirectRun) {
@@ -627,6 +667,28 @@ TEST(Service, ReleaseValidationErrors) {
     EXPECT_FALSE(r.find("ok")->boolean)
         << "id " << r.find("id")->as_int();
     EXPECT_EQ(r.find("error")->string, "bad_request");
+  }
+}
+
+TEST(Service, OutOfRangeInlinePlansAreBadRequestsNotCrashes) {
+  ServiceConfig config;
+  config.metrics_on_exit = false;
+  GroomingService service(config);
+  std::vector<std::string> lines;
+  long long id = 1;
+  for (const char* plan : kOutOfRangePlans) {
+    lines.push_back(R"({"op":"provision","id":)" + std::to_string(id++) +
+                    R"(,"plan":)" + plan + R"(,"add":[[1,4]]})");
+    lines.push_back(R"({"op":"health","id":)" + std::to_string(id++) + "}");
+  }
+  Session session = run_session(service, lines);
+  ASSERT_EQ(session.responses.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); i += 2) {
+    const JsonValue& bad = session.responses[i];
+    EXPECT_FALSE(bad.find("ok")->boolean) << lines[i];
+    EXPECT_EQ(bad.find("error")->string, "bad_request") << lines[i];
+    // The server is still there and answers the next line.
+    EXPECT_TRUE(session.responses[i + 1].find("ok")->boolean) << lines[i];
   }
 }
 

@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algorithms/workspace.hpp"
 #include "gen/traffic_patterns.hpp"
 #include "graph/fingerprint.hpp"
 #include "grooming/incremental.hpp"
@@ -1117,6 +1119,204 @@ TEST(StoreService, ExpiredDeadlineProvisionAppendsNothing) {
       << response;
   // The mutation was rejected before it happened: no WAL record.
   EXPECT_EQ(service.store()->last_seq(), before);
+}
+
+TEST(StoreService, RejectedHeldProvisionChangesNeitherPlanNorWal) {
+  // {1,4} fits the ring and {0,99} does not: the held plan is extended in
+  // place, so the whole request must be refused before anything moves.
+  TempDir dir;
+  ServiceConfig config;
+  config.metrics_on_exit = false;
+  config.data_dir = dir.str();
+  GroomingService service(config);
+  service.open_store();
+  auto send = [&service](const std::string& line) {
+    RequestParse parsed = parse_request(line);
+    EXPECT_TRUE(parsed.request.has_value()) << parsed.error;
+    return service.execute(*parsed.request, nullptr);
+  };
+  const std::string snapshot = R"({"op":"repl_snapshot","id":9})";
+  ASSERT_NE(send(groom_hold_request(1, ring_demand_graph(8, 0.5, 5), 4))
+                .find("\"plan_id\":1"),
+            std::string::npos);
+  const std::string table_before = send(snapshot);
+  const std::uint64_t seq_before = service.store()->last_seq();
+
+  const std::string response =
+      send(R"({"op":"provision","id":2,"plan_id":1,"add":[[1,4],[0,99]]})");
+  EXPECT_NE(response.find("\"error\":\"bad_request\""), std::string::npos)
+      << response;
+  EXPECT_EQ(send(snapshot), table_before);
+  EXPECT_EQ(service.store()->last_seq(), seq_before);
+}
+
+/// A repl_snapshot response's table as a SnapshotData.
+SnapshotData snapshot_from_response(const std::string& line) {
+  const JsonValue v = parse_json(line);
+  EXPECT_TRUE(v.find("ok")->boolean) << line;
+  SnapshotData snap;
+  snap.last_seq = static_cast<std::uint64_t>(v.find("last_seq")->as_int());
+  snap.next_plan_id = v.find("next_plan_id")->as_int();
+  for (const JsonValue& entry : v.find("plans")->array) {
+    snap.plans.emplace_back(entry.array[0].as_int(),
+                            plan_from_json(entry.array[1]));
+  }
+  return snap;
+}
+
+std::string table_text(const SnapshotData& snap) {
+  std::string text = "last_seq=" + std::to_string(snap.last_seq) +
+                     " next_plan_id=" + std::to_string(snap.next_plan_id) +
+                     "\n";
+  for (const auto& [id, plan] : snap.plans) {
+    text += "plan " + std::to_string(id) + "\n" + serialize_plan(plan);
+  }
+  return text;
+}
+
+TEST(StoreService, LiveReplayAndReplicaTablesAgree) {
+  // One seeded mix of holds, provisions, releases and drop-alls over ~8
+  // plans, failures included, through the primary's execute path.  The
+  // primary's live table, a recovery of its directory (snapshot + WAL
+  // tail) and a replica fed every WAL record must then serialize alike.
+  TempDir primary_dir;
+  TempDir replica_dir;
+  ServiceConfig config;
+  config.metrics_on_exit = false;
+  config.data_dir = primary_dir.str();
+  config.snapshot_every = 64;
+  GroomingService primary(config);
+  primary.open_store();
+  GroomingWorkspace workspace;
+  JsonWriter w;
+  auto send_line = [&](const std::string& line) {
+    RequestParse parsed = parse_request(line);
+    EXPECT_TRUE(parsed.request.has_value()) << parsed.error << " <- " << line;
+    primary.execute_into(*parsed.request, workspace, w);
+    return w.str();
+  };
+  auto send = [&](const std::string& line) {
+    return parse_json(send_line(line));
+  };
+  auto pairs_json = [](const std::vector<DemandPair>& pairs) {
+    JsonWriter list;
+    list.begin_array();
+    for (const DemandPair& p : pairs) {
+      list.begin_array()
+          .value(static_cast<long long>(p.a))
+          .value(static_cast<long long>(p.b))
+          .end_array();
+    }
+    list.end_array();
+    return list.take();
+  };
+
+  constexpr NodeId kRing = 12;
+  Rng rng(2024);
+  // The pairs each live plan holds (a multiset, as plans allow repeats).
+  std::map<std::int64_t, std::vector<DemandPair>> model;
+  auto hold = [&] {
+    const Graph g = ring_demand_graph(kRing, 0.3, rng.below(1000));
+    const JsonValue r = send(groom_hold_request(0, g, 4));
+    ASSERT_TRUE(r.find("ok")->boolean);
+    model[r.find("plan_id")->as_int()] =
+        DemandSet::from_traffic_graph(g).pairs();
+  };
+  auto random_pair = [&] {
+    const auto a = static_cast<NodeId>(rng.below(kRing));
+    auto b = static_cast<NodeId>(rng.below(kRing - 1));
+    if (b >= a) ++b;
+    return DemandPair{std::min(a, b), std::max(a, b)};
+  };
+  for (int i = 0; i < 8; ++i) hold();
+
+  int failures = 0;
+  for (int step = 0; step < 500; ++step) {
+    if (model.size() < 4) hold();
+    auto it = model.begin();
+    std::advance(it, static_cast<long>(rng.below(model.size())));
+    const std::int64_t plan_id = it->first;
+    std::vector<DemandPair>& held = it->second;
+    const std::string target = R"({"plan_id":)" + std::to_string(plan_id);
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 45) {
+      std::vector<DemandPair> add(1 + rng.below(3));
+      for (DemandPair& p : add) p = random_pair();
+      ASSERT_TRUE(send(target + R"(,"op":"provision","add":)" +
+                       pairs_json(add) + "}")
+                      .find("ok")
+                      ->boolean);
+      held.insert(held.end(), add.begin(), add.end());
+    } else if (roll < 80 && !held.empty()) {
+      const std::size_t at = rng.below(held.size());
+      const bool repair = rng.chance(0.7);
+      ASSERT_TRUE(send(target + R"(,"op":"release","remove":)" +
+                       pairs_json({held[at]}) + R"(,"repair":)" +
+                       (repair ? "true" : "false") + "}")
+                      .find("ok")
+                      ->boolean);
+      held.erase(held.begin() + static_cast<long>(at));
+    } else if (roll < 85) {
+      ASSERT_TRUE(
+          send(target + R"(,"op":"release","all":true})").find("ok")->boolean);
+      model.erase(it);
+    } else {
+      // A request that must fail and leave the WAL where it was.
+      std::string body;
+      if (roll < 90) {
+        body = R"({"plan_id":)" + std::to_string(1000 + step) +
+               R"(,"op":"provision","add":[[0,1]]})";
+      } else if (roll < 95) {
+        body = target + R"(,"op":"provision","add":[[1,4],[0,99]]})";
+      } else {
+        DemandPair absent = random_pair();
+        while (std::find(held.begin(), held.end(), absent) != held.end()) {
+          absent = random_pair();
+        }
+        body = target + R"(,"op":"release","remove":)" + pairs_json({absent}) +
+               "}";
+      }
+      const std::uint64_t seq = primary.store()->last_seq();
+      const JsonValue r = send(body);
+      EXPECT_FALSE(r.find("ok")->boolean) << body;
+      EXPECT_EQ(r.find("error")->string, "bad_request") << body;
+      EXPECT_EQ(primary.store()->last_seq(), seq) << body;
+      ++failures;
+    }
+  }
+  EXPECT_GT(failures, 50);
+
+  const std::string snapshot_request = R"({"op":"repl_snapshot"})";
+  const SnapshotData live =
+      snapshot_from_response(send_line(snapshot_request));
+
+  primary.store()->flush();
+  StoreRecovery recovery;
+  const SnapshotData recovered =
+      recover_store_state(primary_dir.str(), &recovery, /*repair=*/false)
+          .snapshot(recovery.last_seq);
+  EXPECT_TRUE(recovery.snapshot_loaded);
+
+  ServiceConfig replica_config;
+  replica_config.metrics_on_exit = false;
+  replica_config.data_dir = replica_dir.str();
+  replica_config.replica_of = "127.0.0.1:1";  // records are fed by hand
+  GroomingService replica(replica_config);
+  replica.open_store();
+  const WalTailStats tail = tail_wal(
+      primary_dir.str(), 0, 0,
+      [&replica](std::uint64_t seq, WalRecordType type,
+                 std::string_view body) {
+        replica.apply_replication_record(seq, type, body);
+      });
+  ASSERT_FALSE(tail.compacted);
+  ASSERT_EQ(tail.last_seq, live.last_seq);
+  ServiceRequest request = *parse_request(snapshot_request).request;
+  const SnapshotData mirrored =
+      snapshot_from_response(replica.execute(request, nullptr));
+
+  EXPECT_EQ(table_text(recovered), table_text(live));
+  EXPECT_EQ(table_text(mirrored), table_text(live));
 }
 
 TEST(StoreService, DrainOnEofFlushesUnsyncedBatches) {
