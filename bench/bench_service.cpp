@@ -1,5 +1,6 @@
 // SERVICE — end-to-end NDJSON daemon throughput: requests/sec through
-// GroomingService::run() as worker count varies, on a mixed groom +
+// GroomingService::run() (the event loop serving the stream as one
+// connection) as worker count varies, on a mixed groom +
 // provision request stream.  Measures the whole service path (parse,
 // admission, dispatch, compute, serialize) rather than the bare
 // algorithms, so it exposes protocol and locking overhead.  A second pass
@@ -8,6 +9,11 @@
 // BENCH_service.json for CI artifact upload.  Plain main for the same
 // reason as bench_throughput: wall clock over a fixed stream is the
 // quantity of interest.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -20,21 +26,13 @@
 #include "algorithms/algorithm.hpp"
 #include "gen/traffic_patterns.hpp"
 #include "grooming/plan.hpp"
+#include "service/event_loop.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
-
-#if defined(__linux__)
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include "service/event_loop.hpp"
-#endif
 
 namespace {
 
@@ -109,8 +107,6 @@ TimedRun measure(double min_time, F&& pass) {
   } while (r.seconds < min_time);
   return r;
 }
-
-#if defined(__linux__)
 
 // ---- TCP mode: drive the epoll event loop over real loopback sockets.
 
@@ -257,8 +253,6 @@ struct TcpServer {
   }
 };
 
-#endif  // defined(__linux__)
-
 double run_once(const std::string& stream, std::size_t workers,
                 std::size_t cache_capacity, int requests) {
   ServiceConfig config;
@@ -358,7 +352,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-#if defined(__linux__)
   std::vector<TcpMeasurement> tcp_measurements;
   if (connections > 0) {
     // Row (1,1) is the serial baseline: one RTT-bound client, the
@@ -424,13 +417,6 @@ int main(int argc, char** argv) {
     }
     tcp_table.print(std::cout);
   }
-#else
-  (void)pipeline;
-  (void)tcp_workers;
-  if (connections > 0) {
-    std::cout << "\n--connections: TCP mode needs Linux (epoll); skipped\n";
-  }
-#endif
 
   std::ofstream out(json_path);
   JsonWriter w;
@@ -456,7 +442,6 @@ int main(int argc, char** argv) {
     w.kv("warm_rps", m.warm_rps);
     w.end_object();
   }
-#if defined(__linux__)
   for (const TcpMeasurement& m : tcp_measurements) {
     w.begin_object();
     w.kv("mode", "tcp");
@@ -469,7 +454,6 @@ int main(int argc, char** argv) {
     w.kv("warm_rps", m.warm_rps);
     w.end_object();
   }
-#endif
   w.end_array();
   w.end_object();
   out << w.str() << "\n";

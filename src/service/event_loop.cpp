@@ -1,15 +1,9 @@
 #include "service/event_loop.hpp"
 
-#include <ostream>
-#include <string>
-
-#include "service/handler.hpp"
-
-#if defined(__linux__)
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -20,11 +14,14 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <ostream>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "algorithms/workspace.hpp"
+#include "service/handler.hpp"
 #include "service/metrics.hpp"
 #include "service/protocol.hpp"
 #include "service/queue.hpp"
@@ -36,17 +33,49 @@ namespace tgroom {
 
 namespace {
 
-// One accepted socket.  The loop thread owns the read side and the fd;
-// the write side (outbox) is shared with workers under `mutex`.  Both
-// buffers draw from per-connection arenas, so once a connection's
-// buffers reach their high-water mark, serving it costs no heap traffic.
+void wait_writable(int fd) {
+  pollfd out{fd, POLLOUT, 0};
+  ::poll(&out, 1, -1);
+}
+
+}  // namespace
+
+bool write_fully(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n > 0) {
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      wait_writable(fd);
+    } else if (n == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+// One connection: an accepted socket, or the stream pair.  The loop
+// thread owns the read side and the fds; the write side (outbox) is
+// shared with workers under `mutex`.  Both buffers draw from
+// per-connection arenas, so once a connection's buffers reach their
+// high-water mark, serving it costs no heap traffic.
 struct Conn {
-  explicit Conn(int fd_in)
-      : fd(fd_in),
+  Conn(int in_fd, int out_fd_in, bool stream_in)
+      : fd(in_fd),
+        out_fd(out_fd_in),
+        poll_fd(in_fd),
+        stream(stream_in),
         rbuf(ArenaAllocator<char>(&read_arena)),
         outbox(ArenaAllocator<char>(&write_arena)) {}
 
-  int fd;
+  int fd;       // read side; the conns key and the epoll event tag
+  int out_fd;   // write side (the socket itself unless a stream)
+  int poll_fd;  // what epoll watches: fd, or a stand-in for a file input
+  // The stream pair: blocking fds the loop reads once per readiness,
+  // writes without EPOLLOUT, and never closes.
+  const bool stream;
 
   // ---- read side: loop thread only.  rbuf's size() is allocated
   // storage (grown once, then stable); rlen tracks the valid bytes so a
@@ -56,6 +85,7 @@ struct Conn {
   std::size_t rlen = 0;     // rbuf[0, rlen) holds received bytes
   std::size_t rpos = 0;     // rbuf[0, rpos) is already consumed
   bool read_open = true;    // false after EOF, fatal error, or drain
+  bool eof = false;         // read() returned 0; buffered lines remain
   bool paused = false;      // EPOLLIN dropped: outbox over the cap
   bool replay_queued = false;  // complete lines remain past max_batch
   std::uint32_t events = 0;    // epoll interest mask currently installed
@@ -133,6 +163,11 @@ struct EventLoopServer::Impl {
   int bound_port = 0;
   int epoll_fd = -1;
   int wake_fd = -1;
+  // The stream form: its fds (never closed here), and the always-readable
+  // eventfd epoll watches in place of an input it cannot poll.
+  int in_fd = -1;
+  int out_fd = -1;
+  int ready_fd = -1;
 
   std::unordered_map<int, ConnPtr> conns;
 
@@ -146,8 +181,9 @@ struct EventLoopServer::Impl {
   std::vector<ConnPtr> replay;
 
   // Drain state.  kServing -> kDraining (shutdown/SIGTERM seen; queue
-  // closed and rejected) -> kFlushing (all in-flight done; shutdown
-  // response emitted; waiting for outboxes to reach the wire) -> exit.
+  // closed and rejected) -> kFlushing (all in-flight done; handler
+  // finalized; shutdown response emitted; waiting for outboxes to reach
+  // the wire) -> exit.
   enum class Phase { kServing, kDraining, kFlushing };
   Phase phase = Phase::kServing;
   bool shutdown_seen = false;  // vs SIGTERM: emits the shutdown response
@@ -170,22 +206,50 @@ struct EventLoopServer::Impl {
     listen_fd = set_nonblocking_listener(c.port, c.backlog, error, bound_port);
   }
 
+  Impl(EventLoopHandler& s, const EventLoopConfig& c, int in, int out)
+      : service(s), config(c), in_fd(in), out_fd(out) {}
+
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
     if (epoll_fd >= 0) ::close(epoll_fd);
     if (wake_fd >= 0) ::close(wake_fd);
+    if (ready_fd >= 0) ::close(ready_fd);
   }
 
   // ---- epoll plumbing ----------------------------------------------------
+
+  /// Adds `fd` to the epoll set; its events arrive tagged `tag`.
+  bool watch(int fd, int tag, std::uint32_t events) {
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = tag;
+    return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
+  }
 
   bool set_interest(Conn& conn, std::uint32_t events) {
     if (conn.closed || events == conn.events) return true;
     epoll_event ev{};
     ev.events = events;
     ev.data.fd = conn.fd;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) < 0) return false;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.poll_fd, &ev) < 0) {
+      return false;
+    }
     conn.events = events;
     return true;
+  }
+
+  /// Ends the read side.  A socket keeps only the EPOLLOUT a write-blocked
+  /// outbox needs (a level-triggered EOF would otherwise wake every turn
+  /// until the connection closes); a stream's input leaves epoll, since a
+  /// pipe's HUP cannot be masked.
+  void stop_reading(Conn& conn) {
+    conn.read_open = false;
+    if (!conn.stream) {
+      set_interest(conn, conn.events & ~std::uint32_t{EPOLLIN | EPOLLRDHUP});
+    } else {
+      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn.poll_fd, nullptr);
+      conn.events = 0;
+    }
   }
 
   void wake() {
@@ -264,25 +328,43 @@ struct EventLoopServer::Impl {
           log << "setsockopt(SO_SNDBUF): " << std::strerror(errno) << "\n";
         }
       }
-      auto conn = std::make_shared<Conn>(fd);
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP;
-      ev.data.fd = fd;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      auto conn = std::make_shared<Conn>(fd, fd, /*stream=*/false);
+      conn->events = EPOLLIN | EPOLLRDHUP;
+      if (!watch(fd, fd, conn->events)) {
         log << "epoll_ctl(add conn): " << std::strerror(errno) << "\n";
         ::close(fd);
         continue;
       }
-      conn->events = ev.events;
       conns.emplace(fd, std::move(conn));
       service.metrics().increment(ServiceMetrics::Counter::kConnAccepted);
     }
   }
 
+  /// Registers the stream pair as the only connection.
+  bool add_stream(std::ostream& log) {
+    auto conn = std::make_shared<Conn>(in_fd, out_fd, /*stream=*/true);
+    conn->events = EPOLLIN;
+    if (!watch(in_fd, in_fd, conn->events)) {
+      // A regular file is always readable until EOF but cannot be polled
+      // (EPERM): an eventfd whose count never drops to zero stands in.
+      if (errno == EPERM) ready_fd = ::eventfd(1, EFD_CLOEXEC);
+      if (ready_fd < 0 || !watch(ready_fd, in_fd, conn->events)) {
+        log << "epoll_ctl(add input): " << std::strerror(errno) << "\n";
+        return false;
+      }
+      conn->poll_fd = ready_fd;
+    }
+    conns.emplace(in_fd, std::move(conn));
+    service.metrics().increment(ServiceMetrics::Counter::kConnAccepted);
+    return true;
+  }
+
+  /// Closes at once; whatever is unread or unsent is dropped.
   void close_conn(const ConnPtr& conn) {
     if (conn->closed) return;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
+    conn->read_open = false;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->poll_fd, nullptr);
+    if (!conn->stream) ::close(conn->fd);
     conn->closed = true;
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
@@ -294,12 +376,7 @@ struct EventLoopServer::Impl {
     service.metrics().increment(ServiceMetrics::Counter::kConnClosed);
   }
 
-  void kill_conn(const ConnPtr& conn) {
-    conn->read_open = false;
-    close_conn(conn);
-  }
-
-  /// Close once nothing more can ever reach the socket: read side done,
+  /// Close once nothing more can ever reach the peer: read side done,
   /// no request still owned by a worker, outbox on the wire.
   void maybe_close(const ConnPtr& conn) {
     if (conn->closed || conn->read_open) return;
@@ -320,13 +397,19 @@ struct EventLoopServer::Impl {
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
       while (conn->opos < conn->outbox.size()) {
-        ssize_t n = ::write(conn->fd, conn->outbox.data() + conn->opos,
+        ssize_t n = ::write(conn->out_fd, conn->outbox.data() + conn->opos,
                             conn->outbox.size() - conn->opos);
         if (n > 0) {
           conn->opos += static_cast<std::size_t>(n);
           continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          if (!conn->stream) break;  // EPOLLOUT resumes the socket
+          // A stream's output is written blocking, even one that came
+          // non-blocking from the parent.
+          wait_writable(conn->out_fd);
+          continue;
+        }
         if (n < 0 && errno == EINTR) continue;
         // EPIPE / ECONNRESET: the peer is gone.  Drop the remaining
         // output; in-flight responses will be discarded on delivery.
@@ -343,7 +426,7 @@ struct EventLoopServer::Impl {
       }
     }
     if (fatal) {
-      kill_conn(conn);
+      close_conn(conn);
       return;
     }
     if (drained) {
@@ -386,8 +469,9 @@ struct EventLoopServer::Impl {
   }
 
   void read_ready(const ConnPtr& conn) {
-    if (!conn->read_open || conn->paused) return;
-    bool saw_eof = false;
+    // Buffered lines go first: reading more would only grow the buffer
+    // (and trip the line-length cap on bytes that are not one line).
+    if (!conn->read_open || conn->paused || conn->replay_queued) return;
     while (true) {
       if (conn->rlen - conn->rpos > config.max_request_bytes) {
         // No newline within the line-length budget: the framing is lost
@@ -398,7 +482,7 @@ struct EventLoopServer::Impl {
                                   std::to_string(config.max_request_bytes) +
                                   " bytes"));
         service.metrics().increment(ServiceMetrics::Counter::kError);
-        kill_conn(conn);
+        close_conn(conn);
         return;
       }
       if (conn->rbuf.size() < conn->rlen + config.read_chunk) {
@@ -408,27 +492,31 @@ struct EventLoopServer::Impl {
           ::read(conn->fd, conn->rbuf.data() + conn->rlen, config.read_chunk);
       if (n > 0) {
         conn->rlen += static_cast<std::size_t>(n);
-        if (static_cast<std::size_t>(n) < config.read_chunk) break;
+        // A stream's fd blocks: a second read could wait for input.
+        if (conn->stream || static_cast<std::size_t>(n) < config.read_chunk) {
+          break;
+        }
         continue;
       }
       if (n == 0) {
-        saw_eof = true;
+        conn->eof = true;
         break;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
       // Hard read error: nothing more will arrive and nothing pending
       // can be acknowledged to a broken peer.
-      kill_conn(conn);
+      close_conn(conn);
       return;
     }
-    process_lines(conn, saw_eof);
+    process_lines(conn);
   }
 
   /// Consumes complete lines from the buffer (at most max_batch per call;
   /// leftovers are replayed before the next blocking wait).  At EOF the
-  /// final unterminated line is processed too, matching getline().
-  void process_lines(const ConnPtr& conn, bool saw_eof) {
+  /// final unterminated line is processed too, matching getline(), and
+  /// the read side ends once every buffered line is consumed.
+  void process_lines(const ConnPtr& conn) {
     std::size_t batch = 0;
     while (conn->read_open && batch < config.max_batch) {
       const char* base = conn->rbuf.data();
@@ -436,7 +524,7 @@ struct EventLoopServer::Impl {
       const char* nl = static_cast<const char*>(
           std::memchr(base + conn->rpos, '\n', size - conn->rpos));
       if (nl == nullptr) {
-        if (saw_eof && conn->rpos < size) {
+        if (conn->eof && conn->rpos < size) {
           std::string_view line(base + conn->rpos, size - conn->rpos);
           conn->rpos = size;
           ++batch;
@@ -467,11 +555,12 @@ struct EventLoopServer::Impl {
       conn->rpos = 0;
     }
     if (conn->read_open && !conn->paused && conn->rlen > 0 &&
-        std::memchr(conn->rbuf.data(), '\n', conn->rlen) != nullptr) {
+        (conn->eof ||
+         std::memchr(conn->rbuf.data(), '\n', conn->rlen) != nullptr)) {
       schedule_replay(conn);  // fairness cap left complete lines behind
     }
-    if (saw_eof) {
-      conn->read_open = false;
+    if (conn->eof && conn->rlen == 0) {
+      stop_reading(*conn);
       flush_writes(conn);
       maybe_close(conn);
     } else if (!conn->paused && outbox_backlog(conn) > 0) {
@@ -500,6 +589,12 @@ struct EventLoopServer::Impl {
     request.admitted = std::chrono::steady_clock::now();
     if (service.wants_raw_line()) request.raw.assign(line);
     if (request.op == ServiceOp::kShutdown) {
+      {
+        // The ack is owed like a response in flight: the connection may
+        // not close before maybe_finish_drain() delivers it.
+        std::lock_guard<std::mutex> lock(conn->mutex);
+        ++conn->inflight;
+      }
       shutdown_seen = true;
       shutdown_conn = conn;
       shutdown_id = request.id;
@@ -561,14 +656,12 @@ struct EventLoopServer::Impl {
     // cluster, not just this front-end.
     service.on_drain_begin();
     // Stop accepting; pending SYNs get RST when the fd closes at exit.
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
-    // Stop reading everywhere: in-flight work finishes, queued work is
-    // rejected, unread pipelined bytes are discarded (exactly run()'s
-    // post-shutdown contract for the rest of the stream).
-    for (auto& [fd, conn] : conns) {
-      conn->read_open = false;
-      set_interest(*conn, conn->events & ~std::uint32_t{EPOLLIN});
+    if (listen_fd >= 0) {
+      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
     }
+    // Stop reading everywhere: in-flight work finishes, queued work is
+    // rejected, unread pipelined bytes are discarded.
+    for (auto& [fd, conn] : conns) stop_reading(*conn);
     if (queue != nullptr) {
       std::vector<WorkItem> leftover = queue->close_and_drain();
       rejected_queued = leftover.size();
@@ -592,12 +685,19 @@ struct EventLoopServer::Impl {
       if (inflight_total > 0) return;
     }
     phase = Phase::kFlushing;
+    // Nothing is in flight: finalize (WAL flush, final snapshot) before
+    // the ack, so an acked shutdown means the state is on disk.
+    service.finalize();
     if (shutdown_seen && shutdown_conn != nullptr) {
       JsonWriter w;
       begin_ok_response(w, shutdown_id, shutdown_has_id, ServiceOp::kShutdown);
       w.kv("rejected_queued", static_cast<long long>(rejected_queued));
       w.end_object();
       service.metrics().increment(ServiceMetrics::Counter::kOk);
+      {
+        std::lock_guard<std::mutex> lock(shutdown_conn->mutex);
+        --shutdown_conn->inflight;
+      }
       deliver(shutdown_conn, w.str(), /*from_worker=*/false);
     }
     // Final flush across every connection; conns whose peers stopped
@@ -611,9 +711,10 @@ struct EventLoopServer::Impl {
     }
   }
 
-  bool flushing_done() {
-    if (phase != Phase::kFlushing) return false;
-    return conns.empty();
+  /// A listener serves until a drain flushed every connection; a stream
+  /// is done as soon as its one connection is gone (EOF drain included).
+  bool flushing_done() const {
+    return conns.empty() && (phase == Phase::kFlushing || in_fd >= 0);
   }
 
   // ---- loop --------------------------------------------------------------
@@ -644,31 +745,25 @@ struct EventLoopServer::Impl {
     for (const ConnPtr& conn : batch) {
       conn->replay_queued = false;
       if (conn->closed || conn->paused) continue;
-      process_lines(conn, /*saw_eof=*/false);
+      process_lines(conn);
     }
   }
 
   int run(std::ostream& log) {
-    if (listen_fd < 0) {
+    if (listen_fd < 0 && in_fd < 0) {
       log << error << "\n";
       return 1;
     }
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (epoll_fd < 0 || wake_fd < 0) {
+    if (epoll_fd < 0 || wake_fd < 0 || !watch(wake_fd, wake_fd, EPOLLIN)) {
       log << "epoll/eventfd: " << std::strerror(errno) << "\n";
       return 1;
     }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev) < 0) {
+    if (in_fd >= 0) {
+      if (!add_stream(log)) return 1;
+    } else if (!watch(listen_fd, listen_fd, EPOLLIN)) {
       log << "epoll_ctl(listen): " << std::strerror(errno) << "\n";
-      return 1;
-    }
-    ev.data.fd = wake_fd;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &ev) < 0) {
-      log << "epoll_ctl(eventfd): " << std::strerror(errno) << "\n";
       return 1;
     }
 
@@ -692,8 +787,10 @@ struct EventLoopServer::Impl {
       }
     }
 
-    log << service.log_name() << ": listening on 127.0.0.1:" << bound_port
-        << " (event loop, workers=" << workers << ")\n";
+    if (listen_fd >= 0) {
+      log << service.log_name() << ": listening on 127.0.0.1:" << bound_port
+          << " (event loop, workers=" << workers << ")\n";
+    }
 
     std::vector<epoll_event> events(128);
     bool stop_drain_started = false;
@@ -715,7 +812,7 @@ struct EventLoopServer::Impl {
         log << "epoll_wait: " << std::strerror(errno) << "\n";
         break;
       }
-      for (int i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
         const int fd = events[i].data.fd;
         const std::uint32_t mask = events[i].events;
         if (fd == listen_fd) {
@@ -732,14 +829,15 @@ struct EventLoopServer::Impl {
         auto it = conns.find(fd);
         if (it == conns.end()) continue;
         ConnPtr conn = it->second;  // keep alive across handlers
-        if (mask & (EPOLLHUP | EPOLLERR)) {
+        if ((mask & (EPOLLHUP | EPOLLERR)) && !conn->stream) {
           // The peer is fully gone; nothing can be written back.
-          kill_conn(conn);
+          close_conn(conn);
           continue;
         }
         if (mask & EPOLLOUT) flush_writes(conn);
         if (conn->closed) continue;
-        if (mask & (EPOLLIN | EPOLLRDHUP)) read_ready(conn);
+        // A stream input's HUP is EOF after whatever is still buffered.
+        if (mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) read_ready(conn);
         if (!conn->closed) maybe_close(conn);
       }
       drain_replay();
@@ -750,11 +848,15 @@ struct EventLoopServer::Impl {
     if (queue != nullptr) queue->close();
     for (auto& done : worker_done) done.get();
 
-    service.finalize();
+    if (phase != Phase::kFlushing) service.finalize();  // not drained yet
     if (service.metrics_on_exit()) {
       JsonWriter w;
       service.write_exit_metrics(w);
-      log << w.str() << "\n";
+      if (in_fd >= 0) {
+        write_fully(out_fd, w.str() + "\n");
+      } else {
+        log << w.str() << "\n";
+      }
     }
     return 0;
   }
@@ -764,9 +866,15 @@ EventLoopServer::EventLoopServer(EventLoopHandler& handler,
                                  const EventLoopConfig& config)
     : impl_(std::make_unique<Impl>(handler, config)) {}
 
+EventLoopServer::EventLoopServer(EventLoopHandler& handler, int in_fd,
+                                 int out_fd, const EventLoopConfig& config)
+    : impl_(std::make_unique<Impl>(handler, config, in_fd, out_fd)) {}
+
 EventLoopServer::~EventLoopServer() = default;
 
-bool EventLoopServer::valid() const { return impl_->listen_fd >= 0; }
+bool EventLoopServer::valid() const {
+  return impl_->listen_fd >= 0 || impl_->in_fd >= 0;
+}
 
 const std::string& EventLoopServer::error() const { return impl_->error; }
 
@@ -775,26 +883,3 @@ int EventLoopServer::port() const { return impl_->bound_port; }
 int EventLoopServer::run(std::ostream& log) { return impl_->run(log); }
 
 }  // namespace tgroom
-
-#else  // !__linux__
-
-namespace tgroom {
-
-struct EventLoopServer::Impl {
-  std::string error = "epoll event loop requires linux";
-};
-
-EventLoopServer::EventLoopServer(EventLoopHandler&, const EventLoopConfig&)
-    : impl_(std::make_unique<Impl>()) {}
-EventLoopServer::~EventLoopServer() = default;
-bool EventLoopServer::valid() const { return false; }
-const std::string& EventLoopServer::error() const { return impl_->error; }
-int EventLoopServer::port() const { return 0; }
-int EventLoopServer::run(std::ostream& log) {
-  log << impl_->error << "\n";
-  return 2;
-}
-
-}  // namespace tgroom
-
-#endif

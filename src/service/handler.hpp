@@ -1,13 +1,14 @@
-// The request-execution seam between the epoll front-end and whatever
-// answers requests behind it.
+// The request-execution seam between the epoll event loop — the one
+// request lifecycle, for TCP connections and the stdin/stdout stream
+// alike — and whatever answers requests behind it.
 //
-// PR 7's EventLoopServer was hard-wired to GroomingService; the cluster
-// front-end (src/cluster/router.hpp) needs the same network machinery —
-// connections, pipelining, outboxes, backpressure, drain — in front of a
-// forwarding engine that owns no grooming state.  EventLoopHandler is the
-// narrow interface the loop actually consumes: execution, the admission
-// knobs, metrics, and the drain hooks.  GroomingService and ClusterRouter
-// both implement it; the loop never knows which it is serving.
+// The grooming service and the cluster front-end (src/cluster/router.hpp)
+// need the same machinery — connections, pipelining, outboxes,
+// backpressure, drain — and the router owns no grooming state.
+// EventLoopHandler is the narrow interface the loop actually consumes:
+// execution, the admission knobs, metrics, and the drain hooks.
+// GroomingService and ClusterRouter both implement it; the loop never
+// knows which it is serving.
 //
 // Threading contract: execute_into() runs on worker threads (or on the
 // loop thread when worker_count() == 0, and always on the loop thread for
@@ -60,12 +61,16 @@ class EventLoopHandler {
   /// fans the shutdown out to every shard here.
   virtual void on_drain_begin() {}
 
-  /// Called after the loop fully drains (the service flushes + snapshots
-  /// its store here).
+  /// Called once, on the loop thread, when no request is in flight any
+  /// more: before the `shutdown` ack on a shutdown/SIGTERM drain, or
+  /// before run() returns after an EOF drain.  The service flushes and
+  /// snapshots its store here, so an acked shutdown is durable; the
+  /// router shuts its shards down.
   virtual void finalize() {}
 
-  /// The {"event":"exit",...} document appended to the log when
-  /// metrics_on_exit() is set.  `w` is cleared first.
+  /// The {"event":"exit",...} document written last when
+  /// metrics_on_exit() is set: to the log for a listener, to the output
+  /// for a stream.  `w` is cleared first.
   virtual void write_exit_metrics(JsonWriter& w) = 0;
 };
 

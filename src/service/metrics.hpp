@@ -35,8 +35,9 @@ class ServiceMetrics {
     kCacheEvictions,
     kStoreAppends,      // WAL records appended by the durable store
     kStoreSnapshots,    // snapshots written by the durable store
-    kConnAccepted,      // TCP connections accepted by the event loop
-    kConnClosed,        // TCP connections closed (EOF, error, or drain)
+    kConnAccepted,      // connections accepted by the event loop (a
+                        // stdin/stdout session counts as one)
+    kConnClosed,        // connections closed (EOF, error, or drain)
     kPipelined,         // requests parsed beyond the first of a readiness
                         // batch (the pipelining depth actually realized)
     kReadOnlyRejected,  // subset of kError: mutations refused by a replica

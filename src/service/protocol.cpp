@@ -527,6 +527,8 @@ std::vector<DemandPair> build_pairs(const TupleList& list) {
   for (std::size_t i = 0; i < list.values.size(); i += 2) {
     const std::int64_t a = list.values[i], b = list.values[i + 1];
     require(a >= 0 && b >= 0, "demand endpoints must be >= 0");
+    require(a < kMaxNodes && b < kMaxNodes,
+            "demand endpoints must be below 5e7");
     require(a != b, "demand pair {x,x} is meaningless");
     pairs.push_back(DemandPair{static_cast<NodeId>(std::min(a, b)),
                                static_cast<NodeId>(std::max(a, b))});

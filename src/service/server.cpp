@@ -1,5 +1,8 @@
 #include "service/server.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -7,36 +10,18 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <future>
-#include <istream>
+#include <iostream>
 #include <memory>
-#include <ostream>
+#include <optional>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "algorithms/workspace.hpp"
 #include "graph/fingerprint.hpp"
 #include "grooming/demand.hpp"
-#include "service/queue.hpp"
-#include "util/alloc_tracker.hpp"
-#include "util/thread_pool.hpp"
-
-#if defined(__linux__)
 #include "service/event_loop.hpp"
-#endif
-#if defined(__unix__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#endif
-#if defined(__GLIBCXX__)
-#include <ext/stdio_filebuf.h>
-#endif
+#include "util/alloc_tracker.hpp"
 
 namespace tgroom {
 
@@ -149,8 +134,8 @@ void GroomingService::execute_into(ServiceRequest& request,
           handle_repl_snapshot(request, w);
           break;
         case ServiceOp::kShutdown:
-          // run() intercepts shutdown before dispatch; a direct execute()
-          // (tests) gets a structured refusal instead of silence.
+          // The event loop intercepts shutdown before dispatch; a direct
+          // execute() (tests) gets a structured refusal instead of silence.
           metrics_.increment(ServiceMetrics::Counter::kError);
           write_error_response(w, request.id, request.has_id,
                                ServiceError::kBadRequest,
@@ -793,132 +778,67 @@ void GroomingService::install_replication_snapshot(const SnapshotData& snap) {
   plans_.load(snap);
 }
 
-int GroomingService::run(std::istream& in, std::ostream& out) {
-  shutdown_ = false;
+namespace {
 
-  std::mutex out_mutex;
-  auto emit = [&out, &out_mutex](const std::string& line) {
-    std::lock_guard<std::mutex> lock(out_mutex);
-    out << line << '\n';
-    out.flush();
-  };
+/// An anonymous in-memory file, closed on destruction: run() serves a
+/// std::istream/std::ostream pair through two of these.
+struct SpoolFile {
+  SpoolFile() { TGROOM_CHECK_MSG(fd >= 0, "memfd_create failed"); }
+  SpoolFile(const SpoolFile&) = delete;
+  ~SpoolFile() { ::close(fd); }
+  const int fd = ::memfd_create("tgroom-spool", MFD_CLOEXEC);
+};
 
+}  // namespace
+
+bool GroomingService::open_store_or_answer(std::ostream& out,
+                                           std::string& error) {
+  ServiceError code = ServiceError::kInternal;
   try {
     open_store();
+    return true;
   } catch (const StoreIncompatibleError& e) {
-    emit(make_error_response(0, false, ServiceError::kStoreIncompatible,
-                             e.what()));
-    return 0;
-  } catch (const StoreCorruptError& e) {
-    emit(make_error_response(0, false, ServiceError::kInternal, e.what()));
-    return 0;
+    code = ServiceError::kStoreIncompatible;
+    error = e.what();
+  } catch (const CheckError& e) {
+    error = e.what();
   }
+  out << make_error_response(0, false, code, error) << std::endl;
+  return false;
+}
 
-  BoundedQueue<ServiceRequest> queue(config_.queue_capacity);
-  ThreadPool pool(config_.workers);
-  std::vector<std::future<void>> worker_done;
-  worker_done.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    worker_done.push_back(pool.submit([this, &queue, &emit] {
-      // Long-lived per-worker state: scratch, arena, and response buffer
-      // all amortize across every request this worker serves.
-      GroomingWorkspace workspace;
-      JsonWriter writer;
-      ServiceRequest request;
-      while (queue.pop(request)) {
-        execute_into(request, workspace, writer);
-        emit(writer.str());
-      }
-    }));
+int GroomingService::run(std::istream& in, std::ostream& out) {
+  std::string store_error;
+  if (!open_store_or_answer(out, store_error)) return 0;
+  // The event loop serves file descriptors: std::cin and std::cout are
+  // fds 0 and 1, any other stream goes through a spool file.
+  std::optional<SpoolFile> in_spool, out_spool;
+  if (&in != &std::cin) {
+    in_spool.emplace();
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    TGROOM_CHECK_MSG(write_fully(in_spool->fd, bytes.view()),
+                     "spooling the request stream failed");
+    ::lseek(in_spool->fd, 0, SEEK_SET);
   }
-
-  GroomingWorkspace inline_workspace;
-  JsonWriter inline_writer;
-  std::int64_t shutdown_id = 0;
-  bool shutdown_has_id = false;
-  std::string line;
-  while (!stop_requested() && std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    metrics_.increment(ServiceMetrics::Counter::kReceived);
-    RequestParse parsed = parse_request(line);
-    if (!parsed.request.has_value()) {
-      metrics_.increment(ServiceMetrics::Counter::kError);
-      emit(make_error_response(parsed.id, parsed.has_id,
-                               ServiceError::kBadRequest, parsed.error));
-      continue;
-    }
-    ServiceRequest request = std::move(*parsed.request);
-    if (request.deadline_ms == 0) {
-      request.deadline_ms = config_.default_deadline_ms;
-    }
-    request.admitted = std::chrono::steady_clock::now();
-    if (request.op == ServiceOp::kShutdown) {
-      shutdown_ = true;
-      shutdown_id = request.id;
-      shutdown_has_id = request.has_id;
-      break;
-    }
-    if (request.op == ServiceOp::kHealth) {
-      // Health never queues behind grooming work: answer inline on the
-      // reader thread (the handler touches only atomics and last_seq).
-      execute_into(request, inline_workspace, inline_writer);
-      emit(inline_writer.str());
-      continue;
-    }
-    if (config_.workers == 0) {
-      execute_into(request, inline_workspace, inline_writer);
-      emit(inline_writer.str());
-      continue;
-    }
-    const std::int64_t id = request.id;
-    const bool has_id = request.has_id;
-    if (!queue.try_push(std::move(request))) {
-      metrics_.increment(ServiceMetrics::Counter::kError);
-      metrics_.increment(ServiceMetrics::Counter::kOverloaded);
-      emit(make_error_response(
-          id, has_id, ServiceError::kOverloaded,
-          "admission queue full (capacity " +
-              std::to_string(config_.queue_capacity) + ")"));
-    }
-  }
-
-  // Drain.  EOF closes admission but lets the workers finish everything
-  // already accepted; `shutdown`/SIGTERM additionally hands queued (not
-  // yet started) requests back for structured rejection.
-  std::vector<ServiceRequest> leftover;
-  if (shutdown_ || stop_requested()) {
-    leftover = queue.close_and_drain();
+  if (&out != &std::cout) {
+    out_spool.emplace();
   } else {
-    queue.close();
+    out.flush();
   }
-  for (const ServiceRequest& request : leftover) {
-    metrics_.increment(ServiceMetrics::Counter::kError);
-    metrics_.increment(ServiceMetrics::Counter::kShuttingDown);
-    emit(make_error_response(request.id, request.has_id,
-                             ServiceError::kShuttingDown,
-                             "service is draining"));
+  EventLoopServer server(*this, in_spool ? in_spool->fd : STDIN_FILENO,
+                         out_spool ? out_spool->fd : STDOUT_FILENO);
+  const int rc = server.run(std::cerr);
+  if (out_spool) {
+    ::lseek(out_spool->fd, 0, SEEK_SET);
+    char buf[64 * 1024];
+    ssize_t n;
+    while ((n = ::read(out_spool->fd, buf, sizeof buf)) > 0) {
+      out.write(buf, n);
+    }
+    out.flush();
   }
-  for (auto& done : worker_done) done.get();
-
-  // Nothing acked may be lost at a clean exit, whatever the fsync
-  // policy: flush the WAL, then leave a snapshot so the next start
-  // replays (almost) nothing.
-  finalize_store();
-
-  if (shutdown_) {
-    JsonWriter w;
-    begin_ok_response(w, shutdown_id, shutdown_has_id, ServiceOp::kShutdown);
-    w.kv("rejected_queued", static_cast<long long>(leftover.size()));
-    w.end_object();
-    metrics_.increment(ServiceMetrics::Counter::kOk);
-    emit(w.take());
-  }
-  if (config_.metrics_on_exit) {
-    JsonWriter w;
-    write_exit_metrics(w);
-    emit(w.take());
-  }
-  return 0;
+  return rc;
 }
 
 void GroomingService::finalize_store() {
@@ -943,99 +863,6 @@ void GroomingService::write_exit_metrics(JsonWriter& w) {
     store->write_json(w);
   }
   w.end_object();
-}
-
-int serve_tcp(GroomingService& service, int port, std::ostream& log,
-              const std::string& port_file) {
-#if defined(__linux__)
-  EventLoopConfig config;
-  config.port = port;
-  EventLoopServer server(service, config);
-  if (!server.valid()) {
-    log << server.error() << "\n";
-    return 1;
-  }
-  if (!port_file.empty()) {
-    std::string error;
-    if (!write_port_file(port_file, server.port(), error)) {
-      log << error << "\n";
-      return 1;
-    }
-  }
-  return server.run(log);
-#elif defined(__unix__) && defined(__GLIBCXX__)
-  // Non-linux fallback: the historical one-connection-at-a-time loop.
-  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    log << "socket: " << std::strerror(errno) << "\n";
-    return 1;
-  }
-  int enable = 1;
-  if (::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable,
-                   sizeof enable) < 0) {
-    log << "setsockopt(SO_REUSEADDR): " << std::strerror(errno) << "\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0 ||
-      ::listen(listen_fd, SOMAXCONN) < 0) {
-    log << "bind/listen on 127.0.0.1:" << port << ": "
-        << std::strerror(errno) << "\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  socklen_t addr_len = sizeof addr;
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) == 0) {
-    port = ntohs(addr.sin_port);
-  }
-  if (!port_file.empty()) {
-    std::string error;
-    if (!write_port_file(port_file, port, error)) {
-      log << error << "\n";
-      ::close(listen_fd);
-      return 1;
-    }
-  }
-  log << "tgroom serve: listening on 127.0.0.1:" << port << "\n";
-  while (!GroomingService::stop_requested() && !service.shutdown_requested()) {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;  // SIGTERM: loop re-checks the flag
-      log << "accept: " << std::strerror(errno) << "\n";
-      break;
-    }
-    if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable) <
-        0) {
-      log << "setsockopt(TCP_NODELAY): " << std::strerror(errno) << "\n";
-    }
-    int out_fd = ::dup(fd);
-    if (out_fd < 0) {
-      ::close(fd);
-      continue;
-    }
-    // Each filebuf owns (and closes) its fd; the dup keeps in/out halves
-    // independently closable.
-    __gnu_cxx::stdio_filebuf<char> in_buf(fd, std::ios::in);
-    __gnu_cxx::stdio_filebuf<char> out_buf(out_fd, std::ios::out);
-    std::istream session_in(&in_buf);
-    std::ostream session_out(&out_buf);
-    service.run(session_in, session_out);
-  }
-  ::close(listen_fd);
-  return 0;
-#else
-  (void)service;
-  (void)port;
-  (void)port_file;
-  log << "serve --port requires a unix/libstdc++ build\n";
-  return 2;
-#endif
 }
 
 bool write_port_file(const std::string& path, int port, std::string& error) {

@@ -2,23 +2,18 @@
 //
 // One GroomingService owns the cross-request state — the groom-result LRU
 // cache, the held-plan table for incremental provisioning, and the
-// metrics registry.  run() serves one NDJSON session: a reader loop
-// parses and admits requests into a BoundedQueue, `workers` long-running
-// ThreadPool tasks (one GroomingWorkspace each, so scratch buffers
-// amortize across requests exactly as in the batch engine) drain it, and
-// responses are emitted line-atomically under an output mutex.
+// metrics registry — and answers requests through execute_into().  The
+// request lifecycle around it (admission into a bounded queue, `workers`
+// long-running tasks with one GroomingWorkspace each, `overloaded`,
+// inline `health`, the EOF and `shutdown` drains, exit metrics) is the
+// epoll loop's (service/event_loop.hpp), for TCP and for stdin alike;
+// run() only adapts a std::istream/std::ostream pair to it.
 //
-// Overload: when the admission queue is full the request is answered
-// `overloaded` immediately — the connection is never dropped and memory
-// never grows with offered load.  Deadlines: a request's `deadline_ms`
-// (or the config default) is checked between pipeline stages (dequeue,
-// post-compute); an expired groom still populates the cache so a retry
-// hits.  Drain: on EOF admission stops and the workers finish everything
-// already accepted; on `shutdown` or request_stop() (SIGTERM), in-flight
-// requests finish but still-queued ones are answered `shutting_down`.
-// Either way every accepted request gets a response before run() returns.
+// Deadlines: a request's `deadline_ms` (or the config default) is
+// checked between pipeline stages (dequeue, post-compute); an expired
+// groom still populates the cache so a retry hits.
 //
-// With workers == 0 requests execute inline on the reader thread in
+// With workers == 0 requests execute inline on the loop thread in
 // arrival order (deterministic, single-core CI friendly); responses are
 // then in order.  With workers > 0 responses may interleave; the echoed
 // "id" correlates them.
@@ -107,13 +102,12 @@ class GroomingService : public EventLoopHandler {
   }
 
   /// Serves one NDJSON session until EOF, a `shutdown` request, or
-  /// request_stop().  Always returns 0; protocol failures are responses,
-  /// not exit codes.
+  /// request_stop(), as the event loop's stream connection: std::cin and
+  /// std::cout are served as fds 0 and 1, other streams through anonymous
+  /// spool files (the input is read to its end first).  A store that
+  /// fails to open is answered with one structured error line.  Returns
+  /// 0; protocol failures are responses, not exit codes.
   int run(std::istream& in, std::ostream& out);
-
-  /// True once a `shutdown` request ended a run() session (used by the
-  /// TCP accept loop to stop across sessions).
-  bool shutdown_requested() const { return shutdown_; }
 
   /// Executes one parsed request, writing the response line into `w`
   /// (cleared first).  This is the worker-task body: with a warm
@@ -149,9 +143,14 @@ class GroomingService : public EventLoopHandler {
   /// cache, and starts the WAL writer.  Idempotent; a no-op without a
   /// data_dir.  Throws StoreIncompatibleError on a format-version
   /// mismatch and StoreCorruptError on unrepairable damage — `tgroom
-  /// serve` calls this before entering the session loop so those become
-  /// structured errors, not mid-session surprises.  run() also calls it.
+  /// serve` calls this before serving so those become structured errors,
+  /// not mid-session surprises.  run() also calls it.
   void open_store();
+
+  /// open_store() for a front-end: a failure is answered with one
+  /// structured error line on `out` (`store_incompatible`, or `internal`
+  /// for unrepairable damage) and returns false with its message.
+  bool open_store_or_answer(std::ostream& out, std::string& error);
 
   /// The store, or nullptr when running in-memory (tests, stats).
   /// Returned as a shared_ptr because a replication snapshot bootstrap
@@ -161,19 +160,17 @@ class GroomingService : public EventLoopHandler {
   std::shared_ptr<DurableStore> store() const { return store_ref(); }
 
   /// Clean-exit durability: flushes the WAL and forces a snapshot so the
-  /// next start replays (almost) nothing.  A no-op without a store.
-  /// run() calls this on its own; the event-loop front-end calls it once
-  /// its last session drains.
+  /// next start replays (almost) nothing.  A no-op without a store.  The
+  /// event loop calls it (as finalize()) once it has drained, before it
+  /// acks a `shutdown`.
   void finalize_store();
 
   /// The {"event":"exit",...} metrics document (held plans, cache,
-  /// counters, store) shared by run()'s exit line and the event loop's
-  /// log output.  `w` is cleared first.
+  /// counters, store) the event loop writes last.  `w` is cleared first.
   void write_exit_metrics(JsonWriter& w) override;
 
-  /// Cooperative stop for signal handlers: the read loop drains and exits
-  /// at the next line boundary (the `tgroom serve` command wires SIGTERM
-  /// here without SA_RESTART, so a blocked read fails and drains too).
+  /// Cooperative stop for signal handlers: the event loop polls it and
+  /// drains (`tgroom serve` and `tgroom route` wire SIGTERM here).
   static void request_stop() { stop_flag().store(true); }
   static void clear_stop() { stop_flag().store(false); }
   static bool stop_requested() { return stop_flag().load(); }
@@ -185,7 +182,7 @@ class GroomingService : public EventLoopHandler {
 
   /// Wires the follower-side stream client in (replica mode).  Called
   /// once, before the service starts serving; the pointer must outlive
-  /// every run()/event-loop session.
+  /// every session.
   void set_replica_link(ReplicaLink* link) { replica_link_ = link; }
 
   /// Follower apply path: decodes one shipped WAL record, applies it to
@@ -268,7 +265,6 @@ class GroomingService : public EventLoopHandler {
   mutable std::mutex store_ptr_mutex_;  // guards the store_ pointer itself
                                         // (not the store's contents)
   std::shared_ptr<DurableStore> store_;  // read via store_ref()
-  bool shutdown_ = false;
 
   std::atomic<ServiceRole> role_{ServiceRole::kPrimary};
   ReplicaLink* replica_link_ = nullptr;  // non-null only in replica mode
@@ -281,18 +277,6 @@ class GroomingService : public EventLoopHandler {
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };
-
-/// Serves loopback TCP on 127.0.0.1:`port`.  On linux this runs the
-/// epoll event loop (service/event_loop.hpp): many concurrent
-/// connections, pipelined requests, per-connection outboxes — cache,
-/// held plans, and metrics are shared across all of them.  Other unix
-/// builds fall back to the historical accept-one-connection loop.
-/// Returns when any connection sends `shutdown` or request_stop() is
-/// set.  A non-empty `port_file` gets the bound port written atomically
-/// (write_port_file) once the listener exists — harnesses read that
-/// instead of scraping the stderr announcement.
-int serve_tcp(GroomingService& service, int port, std::ostream& log,
-              const std::string& port_file = std::string());
 
 /// Atomically publishes `port` at `path` (temp file + rename, so a reader
 /// never sees a partial write).  False with `error` set on IO failure.

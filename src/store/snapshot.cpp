@@ -1,13 +1,11 @@
 #include "store/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace tgroom {
 
@@ -27,15 +25,11 @@ std::string snapshot_path(const std::string& dir, std::uint64_t last_seq) {
 }
 
 void fsync_dir(const std::string& dir) {
-#ifdef __unix__
   const int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd >= 0) {
     ::fsync(fd);
     ::close(fd);
   }
-#else
-  (void)dir;
-#endif
 }
 
 SnapshotData load_snapshot_file(const std::string& path) {
@@ -143,13 +137,18 @@ std::string write_snapshot_file(const std::string& dir,
   TGROOM_CHECK_MSG(f != nullptr, "cannot create snapshot: " + tmp);
   std::size_t wrote = std::fwrite(file.str().data(), 1, file.size(), f);
   wrote += std::fwrite(body.str().data(), 1, body.size(), f);
-  std::fflush(f);
-#ifdef __unix__
-  ::fsync(fileno(f));
-#endif
-  std::fclose(f);
-  TGROOM_CHECK_MSG(wrote == file.size() + body.size(),
-                   "short write to snapshot: " + tmp);
+  // fwrite may only have filled the stdio buffer: a snapshot is complete
+  // once fflush, fsync and fclose all succeeded.  Anything less must not
+  // be renamed into place, where compaction would trust it.
+  bool complete = wrote == file.size() + body.size();
+  complete = std::fflush(f) == 0 && complete;
+  complete = ::fsync(fileno(f)) == 0 && complete;
+  complete = std::fclose(f) == 0 && complete;
+  if (!complete) {
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
+  }
+  TGROOM_CHECK_MSG(complete, "short write to snapshot: " + tmp);
   fs::rename(tmp, path);
   fsync_dir(dir);
   return path;

@@ -1,12 +1,10 @@
 #include "store/wal.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 namespace tgroom {
 
@@ -22,13 +20,7 @@ constexpr std::size_t kPayloadMinBytes = 9;    // u64 seq + u8 type
 // writer rolls segments at a few MiB, so nothing legitimate approaches it.
 constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;
 
-void fsync_stream(std::FILE* file) {
-#ifdef __unix__
-  ::fsync(fileno(file));
-#else
-  (void)file;
-#endif
-}
+void fsync_stream(std::FILE* file) { ::fsync(fileno(file)); }
 
 std::uint32_t read_u32le(const char* p) {
   std::uint32_t v = 0;

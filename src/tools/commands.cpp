@@ -29,9 +29,7 @@
 #include "util/json.hpp"
 #include "util/table.hpp"
 
-#if defined(__unix__)
 #include <csignal>
-#endif
 
 namespace tgroom::tools {
 
@@ -743,6 +741,44 @@ int cmd_sweep(const CliArgs& args, std::ostream& out, std::ostream& err) {
   }
 }
 
+namespace {
+
+/// SIGTERM requests a graceful drain of `serve` and `route`: the event
+/// loop polls the stop flag between epoll turns.
+void drain_on_sigterm() {
+  struct sigaction action {};
+  action.sa_handler = [](int) { GroomingService::request_stop(); };
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  sigaction(SIGTERM, &action, nullptr);
+  GroomingService::clear_stop();
+}
+
+/// Serves `handler` on 127.0.0.1:--port (0 picks an ephemeral port) until
+/// it drains.  A non-empty --port-file gets the bound port written
+/// atomically once the listener exists: harnesses read that instead of
+/// scraping the "listening on" log line.
+int serve_port(EventLoopHandler& handler, const CliArgs& args,
+               std::ostream& err) {
+  EventLoopConfig config;
+  config.port = static_cast<int>(args.get_int("port", 0));
+  EventLoopServer server(handler, config);
+  if (!server.valid()) {
+    err << server.error() << "\n";
+    return 1;
+  }
+  const std::string port_file = args.get("port-file", "");
+  std::string error;
+  if (!port_file.empty() &&
+      !write_port_file(port_file, server.port(), error)) {
+    err << error << "\n";
+    return 1;
+  }
+  return server.run(err);
+}
+
+}  // namespace
+
 int cmd_serve(const CliArgs& args, std::istream& in, std::ostream& out,
               std::ostream& err) {
   ServiceConfig config;
@@ -783,33 +819,14 @@ int cmd_serve(const CliArgs& args, std::istream& in, std::ostream& out,
     err << "--shard-index must be in [0, --shard-count)\n";
     return 2;
   }
-#if defined(__unix__)
-  // SIGTERM requests a graceful drain.  No SA_RESTART: a read blocked in
-  // getline/accept fails with EINTR, so the loop reaches its drain path
-  // instead of blocking until the next request line.
-  struct sigaction action {};
-  action.sa_handler = [](int) { GroomingService::request_stop(); };
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-#endif
-  GroomingService::clear_stop();
+  drain_on_sigterm();
   GroomingService service(config);
   // Open (and recover) the store before accepting any request, so a
   // format-version mismatch or unrepairable corruption is a structured
   // error up front, not a mid-session surprise.
-  try {
-    service.open_store();
-  } catch (const StoreIncompatibleError& e) {
-    out << make_error_response(0, false, ServiceError::kStoreIncompatible,
-                               e.what())
-        << "\n";
-    err << e.what() << "\n";
-    return 1;
-  } catch (const CheckError& e) {
-    out << make_error_response(0, false, ServiceError::kInternal, e.what())
-        << "\n";
-    err << e.what() << "\n";
+  std::string store_error;
+  if (!service.open_store_or_answer(out, store_error)) {
+    err << store_error << "\n";
     return 1;
   }
   // Replica mode: start the stream client tailing the primary before
@@ -826,16 +843,10 @@ int cmd_serve(const CliArgs& args, std::istream& in, std::ostream& out,
         << " (read-only until promoted)\n";
     replica_link->start();
   }
-  // --port present selects TCP mode; --port 0 binds an ephemeral port
-  // (the chosen port is announced on the "listening on" log line, which
-  // is how tests and smoke scripts avoid port collisions).
-  int rc;
-  if (args.has("port")) {
-    const int port = static_cast<int>(args.get_int("port", 0));
-    rc = serve_tcp(service, port, err, args.get("port-file", ""));
-  } else {
-    rc = service.run(in, out);
-  }
+  // --port present selects TCP mode; without it the session is stdin
+  // and stdout (or the streams run_tool was handed).
+  const int rc =
+      args.has("port") ? serve_port(service, args, err) : service.run(in, out);
   if (replica_link != nullptr) replica_link->stop_and_drain();
   return rc;
 }
@@ -875,37 +886,13 @@ int cmd_route(const CliArgs& args, std::ostream& out, std::ostream& err) {
     err << "--queue must be >= 1\n";
     return 2;
   }
-#if defined(__unix__)
-  struct sigaction action {};
-  action.sa_handler = [](int) { GroomingService::request_stop(); };
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-#endif
-  GroomingService::clear_stop();
+  drain_on_sigterm();
   cluster::ClusterRouter router(config);
   if (!router.start(err, error)) {
     err << "tgroom route: " << error << "\n";
     return 1;
   }
-  EventLoopConfig loop_config;
-  loop_config.port = static_cast<int>(args.get_int("port", 0));
-  EventLoopServer server(router, loop_config);
-  if (!server.valid()) {
-    err << server.error() << "\n";
-    router.stop_backends();
-    return 1;
-  }
-  const std::string port_file = args.get("port-file", "");
-  if (!port_file.empty()) {
-    std::string port_error;
-    if (!write_port_file(port_file, server.port(), port_error)) {
-      err << port_error << "\n";
-      router.stop_backends();
-      return 1;
-    }
-  }
-  return server.run(err);
+  return serve_port(router, args, err);
 }
 
 int cmd_store_dump(const CliArgs& args, std::ostream& out,

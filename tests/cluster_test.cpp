@@ -11,11 +11,24 @@
 
 #include "cluster/cluster_map.hpp"
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cluster/router.hpp"
 #include "grooming/demand.hpp"
+#include "service/event_loop.hpp"
+#include "service/protocol.hpp"
+#include "service/server.hpp"
+#include "util/json.hpp"
 
 namespace tgroom::cluster {
 namespace {
@@ -161,23 +174,6 @@ TEST(IdSplice, RoundTripPreservesEveryOtherByte) {
 
 // ------------------------------------------------------------------------
 // In-process cluster parity: router + 2 shard nodes on loopback sockets.
-// Linux-only, like the event loop front-end itself.
-#if defined(__linux__)
-
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <map>
-#include <sstream>
-#include <thread>
-
-#include "cluster/router.hpp"
-#include "service/event_loop.hpp"
-#include "service/protocol.hpp"
-#include "service/server.hpp"
-#include "util/json.hpp"
 
 namespace tgroom::cluster {
 namespace {
@@ -547,9 +543,3 @@ TEST(ClusterRouterOps, MultiShardHeldPlanOpWithoutRouteKeyIsRejected) {
 
 }  // namespace
 }  // namespace tgroom::cluster
-
-#else  // !__linux__
-
-TEST(ClusterParity, SkippedOnNonLinux) { GTEST_SKIP(); }
-
-#endif

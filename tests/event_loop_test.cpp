@@ -1,26 +1,25 @@
-// Tests of the epoll event-loop front-end (service/event_loop.hpp): real
-// loopback sockets against an in-process server.  Multi-client responses
-// are pinned bit-for-bit against the serial GroomingService::run() path
-// (the event loop is a transport, not a semantics change); the rest
-// exercises the transport edges — pipelining, partial writes through a
-// tiny SO_SNDBUF, abrupt disconnects, admission backpressure, and the
-// cross-connection shutdown drain.
-//
-// Linux-only, like the event loop itself; other platforms compile an
-// explicit skip so the suite shape stays identical.
+// Tests of the epoll event loop (service/event_loop.hpp): real loopback
+// sockets against an in-process server.  Multi-client responses are
+// pinned bit-for-bit against a serial parse_request + execute_into loop
+// that shares no code with the event loop (the loop is a transport, not a
+// semantics change); the rest exercises the transport edges — pipelining,
+// partial writes through a tiny SO_SNDBUF, abrupt disconnects, admission
+// backpressure, the cross-connection shutdown drain, and the stream
+// (in_fd, out_fd) connection over pipes.
 #include <gtest/gtest.h>
 
 #include "service/event_loop.hpp"
 
-#if defined(__linux__)
-
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -28,10 +27,12 @@
 #include <vector>
 
 #include "algorithms/algorithm.hpp"
+#include "algorithms/workspace.hpp"
 #include "gen/traffic_patterns.hpp"
 #include "service/metrics.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "store/snapshot.hpp"
 #include "util/json.hpp"
 
 namespace tgroom {
@@ -60,6 +61,10 @@ void send_str(int fd, std::string_view bytes) {
     ASSERT_GT(n, 0) << std::strerror(errno);
     off += static_cast<std::size_t>(n);
   }
+}
+
+void send_str_to_pipe(int fd, std::string_view bytes) {
+  ASSERT_TRUE(write_fully(fd, bytes)) << std::strerror(errno);
 }
 
 /// Reads until `lines` newlines arrived (or EOF, which fails the test).
@@ -179,17 +184,21 @@ Graph client_graph(int client, NodeId n = 16) {
   return random_traffic(n, 0.5, rng).traffic_graph();
 }
 
-/// Runs the same request lines through the serial stdin/stdout service
-/// (the semantics reference) and indexes the responses by id.
+/// The semantics reference: the same request lines parsed and executed
+/// one by one on this thread against a fresh service with the same
+/// config, responses indexed by id.  No queue, pool or event loop.
 std::map<long long, std::string> run_serial(const ServiceConfig& config,
                                             const std::string& stream) {
   GroomingService service(config);
-  std::istringstream in(stream);
-  std::ostringstream out;
-  service.run(in, out);
+  GroomingWorkspace workspace;
+  JsonWriter writer;
   std::map<long long, std::string> by_id;
-  for (const std::string& line : split_lines(out.str())) {
-    by_id[extract_id(line)] = line;
+  for (const std::string& line : split_lines(stream)) {
+    RequestParse parsed = parse_request(line);
+    EXPECT_TRUE(parsed.request.has_value()) << parsed.error;
+    if (!parsed.request.has_value()) continue;
+    service.execute_into(*parsed.request, workspace, writer);
+    by_id[parsed.request->id] = writer.str();
   }
   return by_id;
 }
@@ -375,6 +384,26 @@ TEST(EventLoop, OverloadedBurstAnswersEveryRequest) {
   EXPECT_EQ(srv.stop(), 0);
 }
 
+// A long pipelined burst followed at once by EOF: far more lines than one
+// loop turn processes (max_batch) are buffered when read() returns 0, and
+// every one of them must still be answered before the socket closes.
+TEST(EventLoop, EofAfterLongPipelineAnswersEveryLine) {
+  constexpr int kRequests = 3000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += "{\"op\":\"health\",\"id\":" + std::to_string(i) + "}\n";
+  }
+  TestServer srv(make_config(0, 0));
+  const int fd = connect_port(srv.port());
+  send_str(fd, burst);
+  ::shutdown(fd, SHUT_WR);
+  const std::vector<std::string> lines = split_lines(recv_until_eof(fd));
+  ::close(fd);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(extract_id(lines.back()), kRequests - 1);
+  EXPECT_EQ(srv.stop(), 0);
+}
+
 // `shutdown` from one connection drains the whole server: other clients'
 // accepted work still completes, every outbox flushes, run() returns 0,
 // and every accepted connection is accounted closed.
@@ -407,13 +436,141 @@ TEST(EventLoop, ShutdownDrainsAcrossConnections) {
   EXPECT_EQ(accepted, closed);
 }
 
-}  // namespace
-}  // namespace tgroom
+// The shutdown ack certifies the final state is on disk: a client that
+// has read it finds a snapshot covering the last acked mutation at once,
+// with the server still finishing its exit on the other thread.
+TEST(EventLoop, ShutdownAckFollowsTheFinalSnapshot) {
+  static std::atomic<int> counter{0};
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tgroom_el_test_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter.fetch_add(1)));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServiceConfig config = make_config(2, 0);
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNone;
+  config.snapshot_every = 0;  // only the final snapshot
+  {
+    TestServer srv(config);
+    srv.service.open_store();  // before any request, as `tgroom serve` does
+    const int fd = connect_port(srv.port());
+    std::string hold = groom_request(1, client_graph(13), 4);
+    hold.insert(hold.size() - 2, ",\"hold\":true");
+    send_str(fd, hold);
+    ASSERT_NE(recv_lines(fd, 1).find("\"plan_id\":1"), std::string::npos);
+    send_str(fd, "{\"op\":\"health\",\"id\":2}\n");
+    const std::string health = recv_lines(fd, 1);
+    ASSERT_NE(health.find("\"last_seq\":1"), std::string::npos) << health;
 
-#else  // !__linux__
-
-TEST(EventLoop, SkippedWithoutLinux) {
-  GTEST_SKIP() << "epoll event loop requires linux";
+    send_str(fd, "{\"op\":\"shutdown\",\"id\":3}\n");
+    const std::string ack = recv_lines(fd, 1);
+    EXPECT_NE(ack.find("\"op\":\"shutdown\""), std::string::npos) << ack;
+    const std::vector<std::string> snaps = list_snapshot_files(dir.string());
+    ::close(fd);
+    srv.thread.join();
+    EXPECT_EQ(srv.rc, 0);
+    ASSERT_FALSE(snaps.empty()) << "shutdown acked before the final snapshot";
+    EXPECT_EQ(snapshot_file_last_seq(snaps.back()), 1u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
-#endif
+// ---------------------------------------------------------------- streams
+
+/// One pipe; both ends closed on destruction unless already closed.
+struct Pipe {
+  int read_end = -1;
+  int write_end = -1;
+  Pipe() {
+    int fds[2];
+    EXPECT_EQ(::pipe(fds), 0);
+    read_end = fds[0];
+    write_end = fds[1];
+  }
+  ~Pipe() {
+    if (read_end >= 0) ::close(read_end);
+    if (write_end >= 0) ::close(write_end);
+  }
+  void close_write() {
+    ::close(write_end);
+    write_end = -1;
+  }
+};
+
+/// Everything `fd` yields until EOF.
+std::string read_all(int fd) {
+  std::string data;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof buf)) > 0) {
+    data.append(buf, static_cast<std::size_t>(n));
+  }
+  return data;
+}
+
+// The stream connection over pipes: the EOF drain answers every request,
+// run() returns once the stream is drained, the exit metrics come last,
+// and the loop leaves both fds open for their owner.
+TEST(EventLoop, StreamPipeDrainsAtEofAndLeavesFdsOpen) {
+  const Graph g = client_graph(17);
+  std::string requests;
+  for (int i = 0; i < 5; ++i) requests += groom_request(i, g, 4);
+  requests += "{\"op\":\"health\",\"id\":5}";  // no final newline
+
+  ServiceConfig config = make_config(2, 0);
+  config.metrics_on_exit = true;
+  GroomingService service(config);
+  Pipe in, out;
+  EventLoopServer server(service, in.read_end, out.write_end);
+  ASSERT_TRUE(server.valid());
+  std::ostringstream log;
+  int rc = -1;
+  std::thread loop([&] { rc = server.run(log); });
+  send_str_to_pipe(in.write_end, requests);
+  in.close_write();  // EOF
+  loop.join();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(::fcntl(in.read_end, F_GETFD), -1);
+  EXPECT_NE(::fcntl(out.write_end, F_GETFD), -1);
+  out.close_write();
+
+  const std::vector<std::string> lines = split_lines(read_all(out.read_end));
+  ASSERT_EQ(lines.size(), 7u);
+  std::map<long long, std::string> by_id;
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    by_id[extract_id(lines[i])] = lines[i];
+  }
+  EXPECT_EQ(by_id.size(), 6u);
+  EXPECT_EQ(lines.back().rfind("{\"event\":\"exit\"", 0), 0u) << lines.back();
+  EXPECT_EQ(log.str(), "");
+}
+
+// `shutdown` ends a stream whose writer never closes it: the input may
+// stay open forever (a shell pipeline, a terminal), and run() must still
+// return right after the drain.
+TEST(EventLoop, StreamShutdownReturnsWithInputStillOpen) {
+  GroomingService service(make_config(0, 0));
+  Pipe in, out;
+  EventLoopServer server(service, in.read_end, out.write_end);
+  std::ostringstream log;
+  std::atomic<bool> done{false};
+  std::thread loop([&] {
+    server.run(log);
+    done = true;
+  });
+  send_str_to_pipe(in.write_end, "{\"op\":\"shutdown\",\"id\":8}\n");
+  for (int i = 0; i < 500 && !done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(done) << "run() still waiting on an open input";
+  if (!done) in.close_write();  // unwedge the loop before joining
+  loop.join();
+  out.close_write();
+  EXPECT_EQ(read_all(out.read_end),
+            R"({"id":8,"ok":true,"op":"shutdown","rejected_queued":0})"
+            "\n");
+}
+
+}  // namespace
+}  // namespace tgroom

@@ -22,6 +22,10 @@
 //    reader (taken on any other line) refused it as "not an exact integer".
 //    Now every plain literal of up to 18 digits is read exactly, so such a
 //    line reports whatever its next problem is, or is accepted.
+//
+// Column 4 (the request outcome) has since been edited by hand on the
+// lines whose values the reader now bounds: inline-plan wavelengths at or
+// above the plan's pair count, and demand endpoints at or above 5e7.
 #include <gtest/gtest.h>
 
 #include <fstream>

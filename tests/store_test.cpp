@@ -6,9 +6,12 @@
 // StoreConcurrency suite so the TSan job can include them by regex.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -617,6 +620,46 @@ TEST(StoreSnapshot, LeftoverTmpFileIsIgnored) {
   EXPECT_EQ(skipped, 0u);
 }
 
+TEST(StoreSnapshot, FailedFlushIsRefusedAndLeavesNoFile) {
+  // A snapshot smaller than the stdio buffer reaches the file only at
+  // fflush.  A child process whose file-size limit lies below the
+  // snapshot's size makes that flush fail; the write must then be
+  // refused, and neither the snapshot nor its .tmp may be left behind.
+  SnapshotData snap = make_snapshot(9, 2);
+  GroomingPlan chain = make_plan(40, 1, {});
+  for (NodeId a = 0; a + 1 < 40; ++a) chain.pairs.push_back({{a, a + 1}, a, 0});
+  snap.plans.emplace_back(5, chain);
+  std::uintmax_t size = 0;
+  {
+    TempDir probe;
+    size = fs::file_size(write_snapshot_file(probe.str(), snap));
+  }
+  const std::uintmax_t limit = size / 2;
+  ASSERT_GT(limit, 64u);
+  ASSERT_LT(size, 4096u) << "must fit the stdio buffer to reach fflush";
+
+  TempDir dir;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
+    const rlimit fsize{static_cast<rlim_t>(limit), static_cast<rlim_t>(limit)};
+    if (::setrlimit(RLIMIT_FSIZE, &fsize) != 0) ::_exit(3);
+    try {
+      write_snapshot_file(dir.str(), snap);
+    } catch (const CheckError&) {
+      ::_exit(0);
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the short snapshot was not refused";
+  EXPECT_TRUE(list_snapshot_files(dir.str()).empty());
+  EXPECT_TRUE(fs::is_empty(dir.path)) << "a .tmp file was left behind";
+}
+
 // --------------------------------------------------------- durable store
 
 TEST(StoreDurable, ReopenRecoversIdenticalState) {
@@ -1146,6 +1189,46 @@ TEST(StoreService, RejectedHeldProvisionChangesNeitherPlanNorWal) {
       send(R"({"op":"provision","id":2,"plan_id":1,"add":[[1,4],[0,99]]})");
   EXPECT_NE(response.find("\"error\":\"bad_request\""), std::string::npos)
       << response;
+  EXPECT_EQ(send(snapshot), table_before);
+  EXPECT_EQ(service.store()->last_seq(), seq_before);
+}
+
+TEST(StoreService, WideDemandEndpointsAreRejectedNotNarrowed) {
+  // 2^32 and 2^32 + 1 narrow to node 0 and 1 as int32: both must be
+  // refused as they are, held or inline, before anything is placed.
+  TempDir dir;
+  ServiceConfig config;
+  config.metrics_on_exit = false;
+  config.data_dir = dir.str();
+  GroomingService service(config);
+  service.open_store();
+  auto send = [&service](const std::string& line) {
+    RequestParse parsed = parse_request(line);
+    if (!parsed.request.has_value()) {
+      return make_error_response(parsed.id, parsed.has_id,
+                                 ServiceError::kBadRequest, parsed.error);
+    }
+    return service.execute(*parsed.request, nullptr);
+  };
+  const std::string snapshot = R"({"op":"repl_snapshot","id":9})";
+  ASSERT_NE(send(groom_hold_request(1, ring_demand_graph(8, 0.5, 5), 4))
+                .find("\"plan_id\":1"),
+            std::string::npos);
+  const std::string table_before = send(snapshot);
+  const std::uint64_t seq_before = service.store()->last_seq();
+
+  for (const char* line :
+       {R"({"op":"provision","id":2,"plan_id":1,"add":[[4294967296,3]]})",
+        R"({"op":"release","id":3,"plan_id":1,"remove":[[4294967296,3]]})",
+        R"({"op":"provision","id":4,"add":[[4294967297,2]],)"
+        R"("plan":{"ring_size":8,"k":4,"pairs":[[0,3,0,0]]}})"}) {
+    const std::string response = send(line);
+    EXPECT_NE(response.find("\"error\":\"bad_request\""), std::string::npos)
+        << line << " -> " << response;
+    EXPECT_NE(response.find("demand endpoints must be below 5e7"),
+              std::string::npos)
+        << response;
+  }
   EXPECT_EQ(send(snapshot), table_before);
   EXPECT_EQ(service.store()->last_seq(), seq_before);
 }
