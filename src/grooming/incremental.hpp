@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "grooming/plan.hpp"
+#include "grooming/plan_index.hpp"
 
 namespace tgroom {
 
@@ -22,6 +23,8 @@ struct IncrementalStats {
   int new_sadms = 0;          // SADM installs triggered
   int reused_sites = 0;       // endpoints that already had an SADM on the
                               // chosen wavelength
+  long long sadms = 0;        // the extended plan's SADM count
+  int wavelengths = 0;        // and its wavelength count
 };
 
 struct IncrementalResult : IncrementalStats {
@@ -41,6 +44,13 @@ struct IncrementalResult : IncrementalStats {
 /// yields exactly the plan of extending by A+B in one call, which is
 /// what lets the durable store's WAL replay mutations one record at a
 /// time and land on the live table byte-for-byte.
+///
+/// `index` is the PlanIndex of `plan` and is updated with it, so each
+/// pair costs O(its endpoints' non-full wavelengths), whatever the plan's
+/// size.
+IncrementalStats extend_plan_incremental(GroomingPlan& plan, PlanIndex& index,
+                                         const std::vector<DemandPair>& new_pairs);
+/// Same, for a plan without a kept index: builds one first, O(pairs).
 IncrementalStats extend_plan_incremental(GroomingPlan& plan,
                                          const std::vector<DemandPair>& new_pairs);
 

@@ -1,9 +1,7 @@
 #include "grooming/repair.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -13,74 +11,23 @@ namespace tgroom {
 
 namespace {
 
-/// Renumbers wavelengths so empty ones disappear, preserving the relative
-/// order of the non-empty ones.
-void compact_wavelengths(GroomingPlan& plan) {
-  const int wavelengths = plan.wavelength_count();
-  if (wavelengths == 0) return;
-  std::vector<bool> occupied(static_cast<std::size_t>(wavelengths), false);
-  for (const GroomedPair& gp : plan.pairs) {
-    occupied[static_cast<std::size_t>(gp.wavelength)] = true;
-  }
-  std::vector<int> remap(static_cast<std::size_t>(wavelengths), -1);
-  int next = 0;
-  for (int w = 0; w < wavelengths; ++w) {
-    if (occupied[static_cast<std::size_t>(w)]) {
-      remap[static_cast<std::size_t>(w)] = next++;
-    }
-  }
-  for (GroomedPair& gp : plan.pairs) {
-    gp.wavelength = remap[static_cast<std::size_t>(gp.wavelength)];
-  }
-}
-
 /// Moves circuits off the affected wavelengths whenever the move strictly
 /// lowers the total SADM count.  Every committed move lowers it by at
 /// least one, so the fixpoint loop terminates.
-void repair_affected(GroomingPlan& plan, const std::set<int>& affected,
-                     ReleaseStats& stats) {
-  const int k = plan.grooming_factor;
-  const int wavelengths = plan.wavelength_count();
-  if (wavelengths == 0 || affected.empty()) return;
-
-  // Occupancy model kept in lockstep with the plan: per-wavelength slot
-  // usage and per-wavelength SADM site reference counts.
-  std::vector<std::vector<bool>> slot_used(
-      static_cast<std::size_t>(wavelengths),
-      std::vector<bool>(static_cast<std::size_t>(k), false));
-  std::vector<std::map<NodeId, int>> site_refs(
-      static_cast<std::size_t>(wavelengths));
-  for (const GroomedPair& gp : plan.pairs) {
-    auto w = static_cast<std::size_t>(gp.wavelength);
-    slot_used[w][static_cast<std::size_t>(gp.timeslot)] = true;
-    ++site_refs[w][gp.pair.a];
-    ++site_refs[w][gp.pair.b];
-  }
-  std::vector<int> free_slots(static_cast<std::size_t>(wavelengths), 0);
-  for (int w = 0; w < wavelengths; ++w) {
-    for (int s = 0; s < k; ++s) {
-      if (!slot_used[static_cast<std::size_t>(w)]
-                    [static_cast<std::size_t>(s)]) {
-        ++free_slots[static_cast<std::size_t>(w)];
-      }
-    }
-  }
-  auto ref_count = [&](int w, NodeId node) {
-    const auto& refs = site_refs[static_cast<std::size_t>(w)];
-    auto it = refs.find(node);
-    return it == refs.end() ? 0 : it->second;
+void repair_affected(GroomingPlan& plan, PlanIndex& index,
+                     const std::vector<int>& affected, ReleaseStats& stats) {
+  const auto is_affected = [&](int w) {
+    return std::binary_search(affected.begin(), affected.end(), w);
   };
-
+  std::vector<std::size_t> candidates;
   bool moved = true;
   while (moved) {
     moved = false;
     // Candidate circuits on affected wavelengths, in a fixed total order
     // (wavelength, timeslot, endpoints) so repair is deterministic.
-    std::vector<std::size_t> candidates;
+    candidates.clear();
     for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
-      if (affected.count(plan.pairs[i].wavelength) != 0) {
-        candidates.push_back(i);
-      }
+      if (is_affected(plan.pairs[i].wavelength)) candidates.push_back(i);
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](std::size_t x, std::size_t y) {
@@ -96,41 +43,19 @@ void repair_affected(GroomingPlan& plan, const std::set<int>& affected,
       const int w = gp.wavelength;
       // SADMs freed at the source if this circuit leaves: endpoints no
       // other circuit on w terminates at.
-      const int freed = (ref_count(w, gp.pair.a) == 1 ? 1 : 0) +
-                        (ref_count(w, gp.pair.b) == 1 ? 1 : 0);
+      const int freed = (index.site_refs(w, gp.pair.a) == 1 ? 1 : 0) +
+                        (index.site_refs(w, gp.pair.b) == 1 ? 1 : 0);
       if (freed == 0) continue;
-      int best = -1;
-      int best_cost = freed;  // strict improvement only: cost < freed
-      for (int w2 = 0; w2 < wavelengths; ++w2) {
-        if (w2 == w || free_slots[static_cast<std::size_t>(w2)] == 0) {
-          continue;
-        }
-        const int cost = (ref_count(w2, gp.pair.a) > 0 ? 0 : 1) +
-                         (ref_count(w2, gp.pair.b) > 0 ? 0 : 1);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = w2;
-          if (cost == 0) break;
-        }
-      }
-      if (best < 0) continue;
-      // Commit the move: free the source slot/sites, take the lowest
-      // free slot at the target.
-      auto src = static_cast<std::size_t>(w);
-      auto dst = static_cast<std::size_t>(best);
-      slot_used[src][static_cast<std::size_t>(gp.timeslot)] = false;
-      ++free_slots[src];
-      for (NodeId node : {gp.pair.a, gp.pair.b}) {
-        if (--site_refs[src][node] == 0) site_refs[src].erase(node);
-      }
-      int slot = 0;
-      while (slot_used[dst][static_cast<std::size_t>(slot)]) ++slot;
-      slot_used[dst][static_cast<std::size_t>(slot)] = true;
-      --free_slots[dst];
-      ++site_refs[dst][gp.pair.a];
-      ++site_refs[dst][gp.pair.b];
-      gp.wavelength = best;
-      gp.timeslot = slot;
+      // Strict improvement only: the move must need fewer new SADMs than
+      // it frees.
+      const PlanIndex::Choice best =
+          index.best_wavelength(gp.pair.a, gp.pair.b, w);
+      if (best.wavelength < 0 || best.cost >= freed) continue;
+      // Commit the move to the lowest free slot of the target.
+      index.remove(gp);
+      gp.wavelength = best.wavelength;
+      gp.timeslot = index.lowest_free_slot(best.wavelength);
+      index.add(gp);
       ++stats.repair_moves;
       moved = true;
     }
@@ -139,21 +64,20 @@ void repair_affected(GroomingPlan& plan, const std::set<int>& affected,
 
 }  // namespace
 
-ReleaseStats release_demands(GroomingPlan& plan,
+ReleaseStats release_demands(GroomingPlan& plan, PlanIndex& index,
                              const std::vector<DemandPair>& remove,
                              bool repair) {
   ReleaseStats stats;
-  TGROOM_CHECK(plan.grooming_factor >= 1);
-  const long long sadms_before = plan_sadm_count(plan);
-  const int wavelengths_before = plan.wavelength_count();
+  const long long sadms_before = index.sadms();
+  const int wavelengths_before = index.wavelengths();
 
   // Locate every victim before mutating, so a bad release (pair not in
   // the plan) leaves the plan untouched.  Each removed pair claims the
   // lowest (wavelength, timeslot) match, which makes duplicate demands
   // release in a fixed order — WAL replay depends on that.
-  std::vector<std::size_t> victims;
   std::vector<bool> claimed(plan.pairs.size(), false);
-  victims.reserve(remove.size());
+  std::vector<int> affected;
+  affected.reserve(remove.size());
   for (DemandPair pair : remove) {
     if (pair.a > pair.b) std::swap(pair.a, pair.b);
     TGROOM_CHECK_MSG(pair.a >= 0 && pair.b < plan.ring_size &&
@@ -172,24 +96,45 @@ ReleaseStats release_demands(GroomingPlan& plan,
     TGROOM_CHECK_MSG(best < plan.pairs.size(),
                      "released demand is not in the plan");
     claimed[best] = true;
-    victims.push_back(best);
+    affected.push_back(plan.pairs[best].wavelength);
+  }
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < plan.pairs.size(); ++i) {
+    if (claimed[i]) {
+      index.remove(plan.pairs[i]);
+      ++stats.released;
+    } else {
+      plan.pairs[kept++] = plan.pairs[i];
+    }
+  }
+  plan.pairs.resize(kept);
+
+  if (repair) repair_affected(plan, index, affected, stats);
+  // Renumber wavelengths so empty ones disappear, preserving the
+  // relative order of the non-empty ones.
+  const std::vector<int> remap = index.compact();
+  if (!remap.empty()) {
+    for (GroomedPair& gp : plan.pairs) {
+      gp.wavelength = remap[static_cast<std::size_t>(gp.wavelength)];
+    }
   }
 
-  std::set<int> affected;
-  for (std::size_t i : victims) affected.insert(plan.pairs[i].wavelength);
-  std::sort(victims.begin(), victims.end(),
-            std::greater<std::size_t>());
-  for (std::size_t i : victims) {
-    plan.pairs.erase(plan.pairs.begin() + static_cast<std::ptrdiff_t>(i));
-    ++stats.released;
-  }
-
-  if (repair) repair_affected(plan, affected, stats);
-  compact_wavelengths(plan);
-
-  stats.sadms_removed = sadms_before - plan_sadm_count(plan);
-  stats.freed_wavelengths = wavelengths_before - plan.wavelength_count();
+  stats.sadms = index.sadms();
+  stats.wavelengths = index.wavelengths();
+  stats.sadms_removed = sadms_before - stats.sadms;
+  stats.freed_wavelengths = wavelengths_before - stats.wavelengths;
   return stats;
+}
+
+ReleaseStats release_demands(GroomingPlan& plan,
+                             const std::vector<DemandPair>& remove,
+                             bool repair) {
+  PlanIndex index(plan);
+  return release_demands(plan, index, remove, repair);
 }
 
 long long plan_fragment_count(const GroomingPlan& plan) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "grooming/plan.hpp"
+#include "grooming/plan_index.hpp"
 
 namespace tgroom {
 
@@ -25,6 +26,8 @@ struct ReleaseStats {
   int repair_moves = 0;        // circuits re-homed by local repair
   int freed_wavelengths = 0;   // wavelength_count drop (post-compaction)
   long long sadms_removed = 0; // SADM count drop (release + repair)
+  long long sadms = 0;         // the residual plan's SADM count
+  int wavelengths = 0;         // and its wavelength count
 };
 
 /// Removes each pair of `remove` from `plan` in place (the lowest
@@ -40,6 +43,15 @@ struct ReleaseStats {
 /// Deterministic and sequentially composable, like
 /// extend_plan_incremental: the durable store replays release records
 /// through this function and lands on the live table byte-for-byte.
+///
+/// `index` is the PlanIndex of `plan` and is updated with it: repair
+/// reads its move targets from the index, and only finding the victims,
+/// listing the affected wavelengths' circuits and renumbering are flat
+/// passes over the pairs.
+ReleaseStats release_demands(GroomingPlan& plan, PlanIndex& index,
+                             const std::vector<DemandPair>& remove,
+                             bool repair);
+/// Same, for a plan without a kept index: builds one first, O(pairs).
 ReleaseStats release_demands(GroomingPlan& plan,
                              const std::vector<DemandPair>& remove,
                              bool repair = true);

@@ -132,8 +132,8 @@ void write_incremental_json(JsonWriter& w, const IncrementalStats& stats,
   w.kv("new_sadms", static_cast<long long>(stats.new_sadms));
   w.kv("new_wavelengths", static_cast<long long>(stats.new_wavelengths));
   w.kv("reused_sites", static_cast<long long>(stats.reused_sites));
-  w.kv("sadms", plan_sadm_count(plan));
-  w.kv("wavelengths", static_cast<long long>(plan.wavelength_count()));
+  w.kv("sadms", stats.sadms);
+  w.kv("wavelengths", static_cast<long long>(stats.wavelengths));
   if (include_plan) {
     w.key("plan");
     write_plan_json(w, plan);
@@ -148,8 +148,8 @@ void write_release_json(JsonWriter& w, const ReleaseStats& stats,
        static_cast<long long>(stats.freed_wavelengths));
   w.kv("sadms_removed", stats.sadms_removed);
   w.kv("remaining", static_cast<long long>(plan.pairs.size()));
-  w.kv("sadms", plan_sadm_count(plan));
-  w.kv("wavelengths", static_cast<long long>(plan.wavelength_count()));
+  w.kv("sadms", stats.sadms);
+  w.kv("wavelengths", static_cast<long long>(stats.wavelengths));
   if (include_plan) {
     w.key("plan");
     write_plan_json(w, plan);

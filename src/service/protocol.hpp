@@ -226,7 +226,7 @@ void write_partition_json(JsonWriter& w,
 
 /// Emits the incremental-provisioning payload keys into an open object:
 /// new_sadms/new_wavelengths/reused_sites/sadms/wavelengths[, plan].
-/// `plan` is the extended plan.
+/// `plan` is the extended plan; the totals come from `stats`.
 void write_incremental_json(JsonWriter& w, const IncrementalStats& stats,
                             const GroomingPlan& plan, bool include_plan);
 /// Same, for add_demands_incremental's copying result.
@@ -238,7 +238,8 @@ inline void write_incremental_json(JsonWriter& w,
 
 /// Emits the release payload keys into an open object:
 /// released/repair_moves/freed_wavelengths/sadms_removed/remaining/
-/// sadms/wavelengths[, plan].  `plan` is the residual plan.
+/// sadms/wavelengths[, plan].  `plan` is the residual plan; the totals
+/// come from `stats`.
 void write_release_json(JsonWriter& w, const ReleaseStats& stats,
                         const GroomingPlan& plan, bool include_plan);
 

@@ -263,10 +263,10 @@ void GroomingService::handle_provision(ServiceRequest& request,
     // the table lock; an inline plan is the request's own, and extending
     // it mutates no server state, so nothing is logged.
     std::unique_lock<std::mutex> lock(plans_mutex_, std::defer_lock);
-    GroomingPlan* plan = request.plan ? &*request.plan : nullptr;
+    const GroomingPlan* plan = request.plan ? &*request.plan : nullptr;
     IncrementalStats stats;
     if (plan != nullptr) {
-      stats = extend_plan_incremental(*plan, request.add);
+      stats = extend_plan_incremental(*request.plan, request.add);
     } else {
       lock.lock();
       stats = plans_.provision(request.plan_id, request.add);
@@ -368,7 +368,20 @@ void GroomingService::handle_stats(const ServiceRequest& request,
   w.kv("queue_capacity", static_cast<long long>(config_.queue_capacity));
   w.kv("cache_capacity", static_cast<long long>(config_.cache_capacity));
   w.kv("cache_size", static_cast<long long>(cache_.size()));
-  w.kv("held_plans", static_cast<long long>(held_plan_count()));
+  {
+    // Totals read from each held plan's index: O(plans) under the lock.
+    long long pairs = 0, sadms = 0, wavelengths = 0;
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    for (const auto& [id, held] : plans_.plans) {
+      pairs += static_cast<long long>(held.plan.pairs.size());
+      sadms += held.index.sadms();
+      wavelengths += held.index.wavelengths();
+    }
+    w.kv("held_plans", static_cast<long long>(plans_.plans.size()));
+    w.kv("held_pairs", pairs);
+    w.kv("held_sadms", sadms);
+    w.kv("held_wavelengths", wavelengths);
+  }
   w.key("cache");
   write_cache_stats(w);
   w.key("replication");

@@ -52,6 +52,9 @@ SimResult simulate_script(const DemandScript& script,
   }
   using Clock = std::chrono::steady_clock;
 
+  // The plan's totals, as the last accepted change left them.
+  long long sadms = 0;
+  int wavelengths = 0;
   std::vector<DemandPair> one(1);
   for (const SimEvent& event : script.events) {
     const DemandPair pair = script.demands[event.demand];
@@ -73,6 +76,8 @@ SimResult simulate_script(const DemandScript& script,
         ++result.accepted;
         active[event.demand] = true;
         result.sadms_added += stats.new_sadms;
+        sadms = stats.sadms;
+        wavelengths = stats.wavelengths;
       }
       if (options.collect_latency) {
         arrival_us.push_back(
@@ -95,11 +100,11 @@ SimResult simulate_script(const DemandScript& script,
       result.sadms_removed += stats.sadms_removed;
       result.repair_moves += stats.repair_moves;
       result.freed_wavelengths += stats.freed_wavelengths;
+      sadms = stats.sadms;
+      wavelengths = stats.wavelengths;
     }
-    const long long sadms = plan_sadm_count(plan);
     result.peak_sadms = std::max(result.peak_sadms, sadms);
-    result.peak_wavelengths =
-        std::max(result.peak_wavelengths, plan.wavelength_count());
+    result.peak_wavelengths = std::max(result.peak_wavelengths, wavelengths);
     if (options.check_bound && !plan_within_prop2_bound(plan)) {
       result.bound_ok = false;
     }
@@ -110,8 +115,8 @@ SimResult simulate_script(const DemandScript& script,
           ? 0.0
           : static_cast<double>(result.blocked) /
                 static_cast<double>(result.arrivals);
-  result.final_sadms = plan_sadm_count(plan);
-  result.final_wavelengths = plan.wavelength_count();
+  result.final_sadms = sadms;
+  result.final_wavelengths = wavelengths;
   result.residual_demands = plan.pairs.size();
   result.arrival_latency = summarize_latency(arrival_us);
   result.release_latency = summarize_latency(release_us);

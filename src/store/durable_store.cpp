@@ -45,30 +45,32 @@ DecodedWalRecord decode_wal_record(std::uint64_t seq, WalRecordType type,
 }
 
 const GroomingPlan& PlanTable::hold(std::int64_t id, GroomingPlan plan) {
-  GroomingPlan& held = plans[id] = std::move(plan);
+  const HeldPlan& held =
+      plans.insert_or_assign(id, HeldPlan(std::move(plan))).first->second;
   next_plan_id = std::max(next_plan_id, id + 1);
-  return held;
+  return held.plan;
 }
 
 IncrementalStats PlanTable::provision(std::int64_t id,
                                       const std::vector<DemandPair>& pairs) {
-  return extend_plan_incremental(at(id), pairs);
+  HeldPlan& h = held(id);
+  return extend_plan_incremental(h.plan, h.index, pairs);
 }
 
 ReleaseStats PlanTable::release(std::int64_t id,
                                 const std::vector<DemandPair>& pairs,
                                 bool all, bool repair) {
-  GroomingPlan& plan = at(id);
-  if (!all) return release_demands(plan, pairs, repair);
+  HeldPlan& h = held(id);
+  if (!all) return release_demands(h.plan, h.index, pairs, repair);
   ReleaseStats stats;
-  stats.released = static_cast<int>(plan.pairs.size());
-  stats.sadms_removed = plan_sadm_count(plan);
-  stats.freed_wavelengths = plan.wavelength_count();
+  stats.released = static_cast<int>(h.plan.pairs.size());
+  stats.sadms_removed = h.index.sadms();
+  stats.freed_wavelengths = h.index.wavelengths();
   plans.erase(id);
   return stats;
 }
 
-GroomingPlan& PlanTable::at(std::int64_t id) {
+HeldPlan& PlanTable::held(std::int64_t id) {
   const auto it = plans.find(id);
   if (it == plans.end()) {
     throw CheckError("unknown plan_id " + std::to_string(id));
@@ -98,7 +100,8 @@ SnapshotData PlanTable::snapshot(std::uint64_t last_seq) const {
   SnapshotData snap;
   snap.last_seq = last_seq;
   snap.next_plan_id = next_plan_id;
-  snap.plans.assign(plans.begin(), plans.end());
+  snap.plans.reserve(plans.size());
+  for (const auto& [id, held] : plans) snap.plans.emplace_back(id, held.plan);
   std::sort(snap.plans.begin(), snap.plans.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return snap;
@@ -107,7 +110,9 @@ SnapshotData PlanTable::snapshot(std::uint64_t last_seq) const {
 void PlanTable::load(SnapshotData snap) {
   plans.clear();
   plans.reserve(snap.plans.size());
-  for (auto& [id, plan] : snap.plans) plans.emplace(id, std::move(plan));
+  for (auto& [id, plan] : snap.plans) {
+    plans.emplace(id, HeldPlan(std::move(plan)));
+  }
   next_plan_id = snap.next_plan_id;
 }
 

@@ -20,7 +20,9 @@
 // extend_plan_incremental and releases through release_demands, both
 // deterministic and sequentially composable — so a recovered table is
 // byte-identical to the live table the crashed process held (for every
-// acked-durable mutation).
+// acked-durable mutation).  Each held plan keeps its PlanIndex, built
+// once when the plan is held or loaded, so a replayed or replicated
+// record costs what the live mutation did: O(change), not O(plan).
 #pragma once
 
 #include <atomic>
@@ -98,13 +100,21 @@ struct DecodedWalRecord {
 DecodedWalRecord decode_wal_record(std::uint64_t seq, WalRecordType type,
                                    std::string_view body);
 
+/// A held plan and its PlanIndex.  Only PlanTable changes either, and
+/// every change goes through both.
+struct HeldPlan {
+  explicit HeldPlan(GroomingPlan p) : plan(std::move(p)), index(plan) {}
+  GroomingPlan plan;
+  PlanIndex index;
+};
+
 /// The held-plan table: plans by id plus the next id to hand out.  The
 /// service's live mutations, recovery replay and replica apply all change
 /// it through hold / provision / release, in place; apply() is the only
 /// code that turns a WAL record into a table change.  A mutation that
 /// throws leaves the table unchanged.
 struct PlanTable {
-  std::unordered_map<std::int64_t, GroomingPlan> plans;
+  std::unordered_map<std::int64_t, HeldPlan> plans;
   std::int64_t next_plan_id = 1;
 
   /// Holds `plan` under `id` (replacing any plan there) and moves
@@ -119,7 +129,7 @@ struct PlanTable {
                        bool all, bool repair);
   /// Plan `id`; throws CheckError "unknown plan_id N" when absent — the
   /// primary's bad_request text.
-  GroomingPlan& at(std::int64_t id);
+  const GroomingPlan& at(std::int64_t id) { return held(id).plan; }
 
   /// Applies one WAL record.  A provision or release of an absent plan
   /// throws StoreCorruptError: the log itself is inconsistent.
@@ -129,6 +139,9 @@ struct PlanTable {
   SnapshotData snapshot(std::uint64_t last_seq) const;
   /// Replaces the table with the snapshot's content.
   void load(SnapshotData snap);
+
+ private:
+  HeldPlan& held(std::int64_t id);
 };
 
 /// What recovery rebuilt: the held-plan table (`plans`, `next_plan_id`)

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 
 namespace tgroom {
 
@@ -21,6 +22,10 @@ constexpr std::size_t kPayloadMinBytes = 9;    // u64 seq + u8 type
 constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;
 
 void fsync_stream(std::FILE* file) { ::fsync(fileno(file)); }
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 std::uint32_t read_u32le(const char* p) {
   std::uint32_t v = 0;
@@ -444,29 +449,30 @@ WalTailStats tail_wal(
     if (wal_segment_first_seq(segments[si]) <= after_seq + 1) start = si;
   }
   std::uint64_t next_expected = 0;
+  std::string chunk;  // the header, then each record prefix and payload
   for (std::size_t si = start; si < segments.size(); ++si) {
     const std::string& path = segments[si];
     const bool final_segment = (si + 1 == segments.size());
-    std::string data;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      if (f == nullptr) {
-        // Listed a moment ago but gone now: compaction retired it while
-        // we were tailing.  The records it held were <= a snapshot seq;
-        // re-polling resolves to either fresh segments or `compacted`.
-        stats.incomplete = true;
-        return stats;
-      }
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      std::fseek(f, 0, SEEK_SET);
-      data.resize(static_cast<std::size_t>(size));
-      const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-      std::fclose(f);
-      TGROOM_CHECK_MSG(got == data.size(),
-                       "short read from WAL segment: " + path);
+    // The segment is read record by record, so a fetch holds one record
+    // in memory, not a segment that grows toward --segment-bytes.
+    const std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(path.c_str(), "rb"));
+    if (f == nullptr) {
+      // Listed a moment ago but gone now: compaction retired it while
+      // we were tailing.  The records it held were <= a snapshot seq;
+      // re-polling resolves to either fresh segments or `compacted`.
+      stats.incomplete = true;
+      return stats;
     }
-    if (data.size() < kSegmentHeaderBytes) {
+    std::fseek(f.get(), 0, SEEK_END);
+    const auto size = static_cast<std::size_t>(std::ftell(f.get()));
+    std::fseek(f.get(), 0, SEEK_SET);
+    const auto read_next = [&](std::string& out, std::size_t n) {
+      out.resize(n);
+      TGROOM_CHECK_MSG(std::fread(out.data(), 1, n, f.get()) == n,
+                       "short read from WAL segment: " + path);
+    };
+    if (size < kSegmentHeaderBytes) {
       // The writer is still inside its first buffered flush of a fresh
       // segment.  Mid-log that would be corruption; at the live end it
       // just means "not yet".
@@ -476,7 +482,8 @@ WalTailStats tail_wal(
       stats.incomplete = true;
       return stats;
     }
-    ByteReader header(std::string_view(data).substr(0, kSegmentHeaderBytes));
+    read_next(chunk, kSegmentHeaderBytes);
+    ByteReader header(chunk);
     check_file_header(header, "TGROOMWL", path);
     const std::uint64_t first_seq = header.u64();
     if (first_seq != wal_segment_first_seq(path)) {
@@ -489,22 +496,23 @@ WalTailStats tail_wal(
     }
     if (next_expected == 0) next_expected = first_seq;
     std::size_t pos = kSegmentHeaderBytes;
-    while (pos < data.size()) {
+    while (pos < size) {
       const std::size_t record_start = pos;
-      const std::size_t avail = data.size() - pos;
+      const std::size_t avail = size - pos;
       std::uint32_t len = 0;
       std::uint32_t crc = 0;
       bool whole = avail >= kRecordPrefixBytes;
       if (whole) {
-        len = read_u32le(data.data() + pos);
-        crc = read_u32le(data.data() + pos + 4);
+        read_next(chunk, kRecordPrefixBytes);
+        len = read_u32le(chunk.data());
+        crc = read_u32le(chunk.data() + 4);
         whole = len >= kPayloadMinBytes && len <= kMaxPayloadBytes &&
                 avail - kRecordPrefixBytes >= len;
       }
       std::string_view payload;
       if (whole) {
-        payload =
-            std::string_view(data).substr(pos + kRecordPrefixBytes, len);
+        read_next(chunk, len);
+        payload = chunk;
         whole = crc32c(payload.data(), payload.size()) == crc;
       }
       if (!whole) {

@@ -908,11 +908,8 @@ int cmd_store_dump(const CliArgs& args, std::ostream& out,
     // run against the data dir of a live daemon or a fresh crash site.
     RecoveredState state = recover_store_state(dir, &recovery,
                                                /*repair=*/false);
-    std::vector<std::pair<std::int64_t, GroomingPlan>> plans(
-        std::make_move_iterator(state.plans.begin()),
-        std::make_move_iterator(state.plans.end()));
-    std::sort(plans.begin(), plans.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const std::vector<std::pair<std::int64_t, GroomingPlan>> plans =
+        state.snapshot(recovery.last_seq).plans;
     // Recovery details go to stderr so stdout is a pure function of the
     // recovered state (the crash harness diffs stdout across runs).
     const std::string fsync_policy = read_store_meta_fsync(dir);

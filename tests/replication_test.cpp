@@ -204,11 +204,8 @@ std::string dump_store(const std::string& dir) {
   StoreRecovery recovery;
   RecoveredState state =
       recover_store_state(dir, &recovery, /*repair=*/false);
-  std::vector<std::pair<std::int64_t, GroomingPlan>> plans(
-      std::make_move_iterator(state.plans.begin()),
-      std::make_move_iterator(state.plans.end()));
-  std::sort(plans.begin(), plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<std::int64_t, GroomingPlan>> plans =
+      state.snapshot(recovery.last_seq).plans;
   std::ostringstream out;
   out << "last_seq=" << recovery.last_seq
       << " next_plan_id=" << state.next_plan_id << "\n";
@@ -437,10 +434,10 @@ TEST(Replication, SnapshotBootstrapWhenPrimaryCompactedAwayTheLog) {
   EXPECT_EQ(primary_rec.last_seq, replica_rec.last_seq);
   EXPECT_EQ(primary_state.next_plan_id, replica_state.next_plan_id);
   ASSERT_EQ(primary_state.plans.size(), replica_state.plans.size());
-  for (const auto& [id, plan] : primary_state.plans) {
+  for (const auto& [id, held] : primary_state.plans) {
     auto it = replica_state.plans.find(id);
     ASSERT_NE(it, replica_state.plans.end()) << "plan " << id;
-    EXPECT_EQ(serialize_plan(plan), serialize_plan(it->second));
+    EXPECT_EQ(serialize_plan(held.plan), serialize_plan(it->second.plan));
   }
 }
 

@@ -221,7 +221,7 @@ std::uint64_t run_trial(const std::string& tag, FsyncPolicy fsync,
       continue;
     }
     // Bit-identical: same serialized text, byte for byte.
-    EXPECT_EQ(serialize_plan(it->second), serialize_plan(plan))
+    EXPECT_EQ(serialize_plan(it->second.plan), serialize_plan(plan))
         << tag << ": plan " << id << " diverged";
   }
 

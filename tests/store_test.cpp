@@ -688,7 +688,7 @@ TEST(StoreDurable, ReopenRecoversIdenticalState) {
   EXPECT_EQ(reopened.recovery().wal_records_replayed, 2u);
   EXPECT_EQ(reopened.recovery().last_seq, 2u);
   ASSERT_EQ(state.plans.size(), 1u);
-  EXPECT_EQ(serialize_plan(state.plans.at(1)), expect_serialized);
+  EXPECT_EQ(serialize_plan(state.plans.at(1).plan), expect_serialized);
   EXPECT_EQ(state.next_plan_id, 2);
   ASSERT_EQ(state.prewarm.size(), 1u);
   EXPECT_EQ(state.prewarm[0].key, make_key(42));
@@ -775,7 +775,7 @@ TEST(StoreDurable, ReleaseRecordsReplayToReleasedState) {
   EXPECT_EQ(reopened.recovery().release_records, 2u);
   ASSERT_EQ(state.plans.size(), 1u);  // plan 2 stays released
   EXPECT_EQ(state.plans.count(2), 0u);
-  EXPECT_EQ(serialize_plan(state.plans.at(1)), expect_serialized);
+  EXPECT_EQ(serialize_plan(state.plans.at(1).plan), expect_serialized);
   EXPECT_EQ(state.next_plan_id, 3);
 }
 
@@ -801,7 +801,7 @@ TEST(StoreDurable, ReleaseRepairFlagIsReplayedExactly) {
   DurableStore reopened(options);
   RecoveredState state = reopened.take_recovered();
   ASSERT_EQ(state.plans.size(), 1u);
-  EXPECT_EQ(serialize_plan(state.plans.at(1)), serialize_plan(plan));
+  EXPECT_EQ(serialize_plan(state.plans.at(1).plan), serialize_plan(plan));
 }
 
 TEST(StoreDurable, ReleaseOfUnknownPlanIsCorruption) {
@@ -1402,6 +1402,86 @@ TEST(StoreService, LiveReplayAndReplicaTablesAgree) {
   EXPECT_EQ(table_text(mirrored), table_text(live));
 }
 
+TEST(StoreService, StatsHeldTotalsMatchTheTable) {
+  // held_pairs, held_sadms and held_wavelengths are read from each held
+  // plan's index.  After a churn of provisions and repairing releases
+  // they must equal the counts over the repl_snapshot table, on the live
+  // service and again after a restart, whose indexes are rebuilt by
+  // snapshot load and WAL replay.
+  TempDir dir;
+  ServiceConfig config;
+  config.metrics_on_exit = false;
+  config.data_dir = dir.str();
+  config.snapshot_every = 16;
+  auto send = [](GroomingService& service, const std::string& line) {
+    RequestParse parsed = parse_request(line);
+    EXPECT_TRUE(parsed.request.has_value()) << parsed.error << " <- " << line;
+    return service.execute(*parsed.request, nullptr);
+  };
+  auto expect_totals_match = [&](GroomingService& service) {
+    const SnapshotData snap =
+        snapshot_from_response(send(service, R"({"op":"repl_snapshot"})"));
+    long long pairs = 0, sadms = 0, wavelengths = 0;
+    for (const auto& [id, plan] : snap.plans) {
+      pairs += static_cast<long long>(plan.pairs.size());
+      sadms += plan_sadm_count(plan);
+      wavelengths += plan.wavelength_count();
+    }
+    const JsonValue stats = parse_json(send(service, R"({"op":"stats"})"));
+    EXPECT_EQ(stats.find("held_plans")->as_int(),
+              static_cast<long long>(snap.plans.size()));
+    EXPECT_EQ(stats.find("held_pairs")->as_int(), pairs);
+    EXPECT_EQ(stats.find("held_sadms")->as_int(), sadms);
+    EXPECT_EQ(stats.find("held_wavelengths")->as_int(), wavelengths);
+    EXPECT_GT(pairs, 0);
+  };
+
+  constexpr NodeId kRing = 14;
+  Rng rng(99);
+  {
+    GroomingService primary(config);
+    primary.open_store();
+    std::map<std::int64_t, std::vector<DemandPair>> model;
+    for (int i = 0; i < 4; ++i) {
+      const Graph g = ring_demand_graph(kRing, 0.4, 50 + rng.below(1000));
+      const JsonValue r =
+          parse_json(send(primary, groom_hold_request(i, g, 4)));
+      ASSERT_TRUE(r.find("ok")->boolean);
+      model[r.find("plan_id")->as_int()] =
+          DemandSet::from_traffic_graph(g).pairs();
+    }
+    for (int step = 0; step < 200; ++step) {
+      auto it = model.begin();
+      std::advance(it, static_cast<long>(rng.below(model.size())));
+      std::vector<DemandPair>& held = it->second;
+      if (rng.below(2) == 0 || held.empty()) {
+        const auto a = static_cast<NodeId>(rng.below(kRing));
+        const auto b = static_cast<NodeId>(
+            (a + 1 + static_cast<NodeId>(rng.below(kRing - 1))) % kRing);
+        const DemandPair p{std::min(a, b), std::max(a, b)};
+        ASSERT_NE(send(primary, provision_by_id_request(step, it->first, {p}))
+                      .find("\"ok\":true"),
+                  std::string::npos);
+        held.push_back(p);
+      } else {
+        const std::size_t at = rng.below(held.size());
+        const std::string line =
+            R"({"op":"release","plan_id":)" + std::to_string(it->first) +
+            R"(,"remove":[[)" + std::to_string(held[at].a) + "," +
+            std::to_string(held[at].b) + R"(]],"repair":true})";
+        ASSERT_NE(send(primary, line).find("\"ok\":true"), std::string::npos)
+            << line;
+        held.erase(held.begin() + static_cast<long>(at));
+      }
+    }
+    expect_totals_match(primary);
+    primary.store()->flush();
+  }
+  GroomingService restarted(config);
+  restarted.open_store();
+  expect_totals_match(restarted);
+}
+
 TEST(StoreService, DrainOnEofFlushesUnsyncedBatches) {
   // fsync=batch with a huge threshold: nothing is synced per-request,
   // so the drain path's flush is what makes the records durable.
@@ -1429,7 +1509,7 @@ TEST(StoreService, DrainOnEofFlushesUnsyncedBatches) {
   EXPECT_EQ(recovery.last_seq, final_seq);
   EXPECT_FALSE(recovery.torn_truncated);
   ASSERT_EQ(state.plans.size(), 1u);
-  EXPECT_GE(state.plans.at(1).pairs.size(), 2u);
+  EXPECT_GE(state.plans.at(1).plan.pairs.size(), 2u);
 }
 
 TEST(StoreService, IncompatibleStoreIsStructuredError) {
